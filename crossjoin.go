@@ -75,10 +75,7 @@ func NewCrossJoin(left, right []Vector, opt Options) (*CrossJoin, error) {
 	if opt.Shards > 1 && bits.UintSize < 64 {
 		return nil, fmt.Errorf("lshjoin: Shards > 1 requires a 64-bit platform (vector ids pack shard and local index into one int)")
 	}
-	family, sim, err := familyFor(opt)
-	if err != nil {
-		return nil, err
-	}
+	family, sim := familyFor(opt)
 	lg, err := lsh.NewShardGroupSigned(left, family, opt.K, 1, opt.Shards, opt.signConfig())
 	if err != nil {
 		return nil, fmt.Errorf("lshjoin: left index: %w", err)
@@ -146,53 +143,21 @@ func groupVector(g *lsh.ShardGroup, id int) Vector {
 // like ShardedCollection ids; a plain dense id with one shard). Only the
 // vector's home shard serializes, so inserts on different shards proceed in
 // parallel, and estimates keep serving over captured snapshots throughout.
-func (cj *CrossJoin) InsertLeft(v Vector) int {
-	id := cj.left.Insert(v)
-	cj.maybePublish(cj.left, int(id))
-	return int(id)
-}
+func (cj *CrossJoin) InsertLeft(v Vector) int { return insertOne(cj.left, v, cj.opt.PublishEvery) }
 
 // InsertRight adds a vector to the right side; see InsertLeft.
-func (cj *CrossJoin) InsertRight(v Vector) int {
-	id := cj.right.Insert(v)
-	cj.maybePublish(cj.right, int(id))
-	return int(id)
-}
+func (cj *CrossJoin) InsertRight(v Vector) int { return insertOne(cj.right, v, cj.opt.PublishEvery) }
 
 // InsertBatchLeft routes each vector to its home shard of the left side and
 // batch-inserts the per-shard runs through the batched signature engine,
 // returning per-vector ids aligned with vs.
-func (cj *CrossJoin) InsertBatchLeft(vs []Vector) []int { return cj.insertBatch(cj.left, vs) }
+func (cj *CrossJoin) InsertBatchLeft(vs []Vector) []int {
+	return insertBatch(cj.left, vs, cj.opt.PublishEvery)
+}
 
 // InsertBatchRight batch-inserts into the right side; see InsertBatchLeft.
-func (cj *CrossJoin) InsertBatchRight(vs []Vector) []int { return cj.insertBatch(cj.right, vs) }
-
-func (cj *CrossJoin) insertBatch(g *lsh.ShardGroup, vs []Vector) []int {
-	ids64 := g.InsertBatch(vs)
-	ids := make([]int, len(ids64))
-	seen := make(map[int]struct{})
-	for i, id := range ids64 {
-		ids[i] = int(id)
-		s, _ := lsh.SplitGroupID(id)
-		seen[s] = struct{}{}
-	}
-	for s := range seen {
-		cj.maybePublishShard(g, s)
-	}
-	return ids
-}
-
-// maybePublish applies the per-side size-based publication policy to the
-// home shard of a freshly inserted id.
-func (cj *CrossJoin) maybePublish(g *lsh.ShardGroup, id int) {
-	s, _ := lsh.SplitGroupID(int64(id))
-	cj.maybePublishShard(g, s)
-}
-
-func (cj *CrossJoin) maybePublishShard(g *lsh.ShardGroup, s int) {
-	if p := cj.opt.PublishEvery; p > 0 && g.Shard(s).Pending() >= p {
-		g.Shard(s).Snapshot()
-	}
+func (cj *CrossJoin) InsertBatchRight(vs []Vector) []int {
+	return insertBatch(cj.right, vs, cj.opt.PublishEvery)
 }
 
 // stratum returns the bipartite stratum view for the captured pair,

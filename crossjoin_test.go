@@ -69,10 +69,7 @@ type staticCrossJoin struct {
 func newStaticCrossJoin(t *testing.T, left, right []Vector, opt Options) *staticCrossJoin {
 	t.Helper()
 	opt.fillDefaults()
-	family, sim, err := familyFor(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	family, sim := familyFor(opt)
 	li, err := lsh.BuildSnapshot(left, family, opt.K, 1)
 	if err != nil {
 		t.Fatal(err)

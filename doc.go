@@ -57,9 +57,11 @@
 // load per shard) and estimators merge the per-shard statistics exactly:
 // bucket keys are shard-invariant, so the union stratum H decomposes into
 // per-shard N_H sums plus cross-shard bipartite bucket matchings, and
-// every algorithm of the paper answers over shards. A ShardedCollection
-// with Shards == 1 is guaranteed draw-for-draw identical to a Collection
-// built from the same vectors and options.
+// every algorithm of the paper answers over shards. A Collection is the
+// one-shard case: it holds a one-shard group and runs the very same read
+// path, so a ShardedCollection with Shards == 1 answers draw for draw what
+// a Collection built from the same vectors and options answers; only the
+// on-disk layout differs (a plain store rather than a group store).
 //
 // General (non-self) joins serve the same way. A CrossJoin is a live
 // object: both sides accept InsertLeft / InsertRight (and batch forms)
@@ -131,11 +133,12 @@
 // length-prefixed binary protocol over TCP (DESIGN.md documents the wire
 // format): streamed ingest, snapshot fetches with a version-checked
 // not-modified fast path, summary digests, and server-side sample batches.
-// Connect dials S such servers and returns a RemoteCollection mirroring
-// ShardedCollection's estimate surface: inserts route to their home shard
-// with the same content hashing, reads fetch per-shard snapshots in
-// parallel (cached by version), reassemble the group view, and run the
-// merged estimators locally under the identical seed-stream discipline.
+// Connect dials S such servers and returns a RemoteCollection sharing
+// ShardedCollection's read path; only capture and ingest are remote:
+// inserts route to their home shard with the same content hashing and id
+// assignment, and reads fetch per-shard snapshots in parallel (cached by
+// version), reassemble the group view, and from there run the same
+// estimators, exact joins and searches locally under the same seed stream.
 // A distributed estimate is therefore bit-equal — not approximately equal —
 // to the in-process sharded one for the same vectors, options and
 // estimator seeds; a property test pins this over real sockets for all ten

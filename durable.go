@@ -2,6 +2,7 @@ package lshjoin
 
 import (
 	"fmt"
+	"slices"
 
 	"lshjoin/internal/core"
 	"lshjoin/internal/faultfs"
@@ -24,42 +25,39 @@ var (
 	ErrCorruptStore = persist.ErrCorrupt
 )
 
-// measureOf maps a stored family spec back to the public Measure.
-func measureOf(spec lsh.FamilySpec) (Measure, error) {
+// adopt folds the hashing identity a source reports — a store on disk or
+// the shard servers — into opt under the adopt-or-assert rule. Hashing
+// fields (K, Tables, Seed, Measure, Shards) are owned by the source: leaving
+// them zero adopts the source's values, setting them is an assertion that
+// must match (ErrInvalidOptions otherwise) — there is no way to rehash a
+// store by reopening it with different options. Runtime-only fields
+// (PublishEvery) pass through untouched. A family the package does not
+// know is the source's fault and wraps corrupt (ErrCorruptStore for a
+// store, ErrShardProtocol for shard servers).
+func adopt(opt Options, source string, corrupt error, spec lsh.FamilySpec, k, tables, shards int) (Options, error) {
+	var measure Measure
 	switch spec.Name {
 	case "simhash":
-		return CosineSimilarity, nil
+		measure = CosineSimilarity
 	case "minhash":
-		return JaccardSimilarity, nil
-	}
-	return 0, fmt.Errorf("lshjoin: store built with unsupported family %q: %w", spec.Name, ErrCorruptStore)
-}
-
-// reconcile folds the hashing parameters recovered from disk into opt.
-// Hashing fields (K, Tables, Seed, Measure, Shards) are owned by the store:
-// leaving them zero adopts the stored values, setting them is an assertion
-// that must match (ErrInvalidOptions otherwise) — there is no way to rehash
-// an existing store by reopening it with different options. Runtime-only
-// fields (PublishEvery) pass through untouched.
-func reconcile(opt Options, spec lsh.FamilySpec, k, tables, shards int) (Options, error) {
-	measure, err := measureOf(spec)
-	if err != nil {
-		return opt, err
+		measure = JaccardSimilarity
+	default:
+		return opt, fmt.Errorf("lshjoin: %s hashes with unsupported family %q: %w", source, spec.Name, corrupt)
 	}
 	if opt.K != 0 && opt.K != k {
-		return opt, fmt.Errorf("%w: K = %d but the store was built with K = %d", ErrInvalidOptions, opt.K, k)
+		return opt, fmt.Errorf("%w: K = %d but %s hashes with K = %d", ErrInvalidOptions, opt.K, source, k)
 	}
 	if opt.Tables != 0 && opt.Tables != tables {
-		return opt, fmt.Errorf("%w: Tables = %d but the store was built with %d", ErrInvalidOptions, opt.Tables, tables)
+		return opt, fmt.Errorf("%w: Tables = %d but %s hashes with %d", ErrInvalidOptions, opt.Tables, source, tables)
 	}
 	if opt.Seed != 0 && opt.Seed != spec.Seed {
-		return opt, fmt.Errorf("%w: Seed = %d but the store was built with %d", ErrInvalidOptions, opt.Seed, spec.Seed)
+		return opt, fmt.Errorf("%w: Seed = %d but %s hashes with %d", ErrInvalidOptions, opt.Seed, source, spec.Seed)
 	}
 	if opt.Measure != measure && opt.Measure != CosineSimilarity {
-		return opt, fmt.Errorf("%w: Measure conflicts with the store's hash family %q", ErrInvalidOptions, spec.Name)
+		return opt, fmt.Errorf("%w: Measure conflicts with the hash family %q of %s", ErrInvalidOptions, spec.Name, source)
 	}
 	if opt.Shards != 0 && opt.Shards != shards {
-		return opt, fmt.Errorf("%w: Shards = %d but the store holds %d", ErrInvalidOptions, opt.Shards, shards)
+		return opt, fmt.Errorf("%w: Shards = %d but %s holds %d", ErrInvalidOptions, opt.Shards, source, shards)
 	}
 	opt.K, opt.Tables, opt.Seed, opt.Measure, opt.Shards = k, tables, spec.Seed, measure, shards
 	return opt, nil
@@ -73,6 +71,21 @@ func applyStorePolicy(opt Options, stores ...*persist.Store) {
 			st.SetCheckpointBytes(opt.CheckpointBytes)
 		}
 	}
+}
+
+// adoptStores reconciles opt with the hashing identity recovered from disk
+// (see adopt) and applies the runtime store policy; on a conflict it closes
+// the stores.
+func adoptStores(opt Options, stores []*persist.Store, spec lsh.FamilySpec, k, tables, shards int) (Options, error) {
+	opt, err := adopt(opt, "the store", ErrCorruptStore, spec, k, tables, shards)
+	if err != nil {
+		for _, st := range stores {
+			st.Close()
+		}
+		return opt, err
+	}
+	applyStorePolicy(opt, stores...)
+	return opt, nil
 }
 
 // Open recovers the durable collection stored in dir: the last checkpoint
@@ -90,55 +103,38 @@ func Open(dir string, opt Options) (*Collection, error) {
 	if err != nil {
 		return nil, err
 	}
-	index, store, err := persist.Open(faultfs.OS{}, dir)
+	opt, index, store, err := openPlain(opt)
 	if err != nil {
+		return nil, err
+	}
+	group, err := lsh.NewShardGroupFromIndexes(index.Family(), index.K(), index.L(), []*lsh.Index{index})
+	if err != nil {
+		store.Close()
 		return nil, fmt.Errorf("lshjoin: %w", err)
+	}
+	c := &Collection{}
+	c.init(opt, group)
+	c.stores = []*persist.Store{store}
+	return c, nil
+}
+
+// openPlain recovers the plain single-store layout in opt.Dir — what New
+// and persist.Create write — and reconciles opt with its hashing identity.
+func openPlain(opt Options) (Options, *lsh.Index, *persist.Store, error) {
+	index, store, err := persist.Open(faultfs.OS{}, opt.Dir)
+	if err != nil {
+		return opt, nil, nil, fmt.Errorf("lshjoin: %w", err)
 	}
 	spec, err := lsh.SpecOf(index.Family())
 	if err != nil {
-		return nil, fmt.Errorf("lshjoin: %w", err)
+		store.Close()
+		return opt, nil, nil, fmt.Errorf("lshjoin: %w", err)
 	}
 	opt.Shards = 0 // a plain store has no shard count to assert against
-	if opt, err = reconcile(opt, spec, index.K(), index.L(), 1); err != nil {
-		store.Close()
-		return nil, err
+	if opt, err = adoptStores(opt, []*persist.Store{store}, spec, index.K(), index.L(), 1); err != nil {
+		return opt, nil, nil, err
 	}
-	_, sim, err := familyFor(opt)
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
-	applyStorePolicy(opt, store)
-	return &Collection{
-		opt:    opt,
-		family: index.Family(),
-		sim:    sim,
-		index:  index,
-		store:  store,
-	}, nil
-}
-
-// Close makes the collection durable at its current version — pending
-// inserts are published, a checkpoint written and fsynced — and releases
-// the store. It returns the store's sticky error, if any: a non-nil return
-// means some earlier publish may not have reached disk and the checkpoint
-// could not repair it. Close is idempotent; a nil-store (purely in-memory)
-// collection closes trivially. The collection must not be used afterwards.
-func (c *Collection) Close() error {
-	if c.store == nil || !c.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	var cerr error
-	c.index.PublishAndThen(func(s *lsh.Snapshot) {
-		cerr = c.store.Checkpoint(s)
-	})
-	if err := c.store.Close(); cerr == nil {
-		cerr = err
-	}
-	if cerr != nil {
-		return fmt.Errorf("lshjoin: close: %w", cerr)
-	}
-	return nil
+	return opt, index, store, nil
 }
 
 // OpenSharded recovers the durable sharded collection stored in dir: the
@@ -156,28 +152,13 @@ func OpenSharded(dir string, opt Options) (*ShardedCollection, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lshjoin: %w", err)
 	}
-	closeAll := func() {
-		for _, st := range stores {
-			st.Close()
-		}
-	}
-	if opt, err = reconcile(opt, meta.Family, meta.K, meta.Ell, meta.Shards); err != nil {
-		closeAll()
+	if opt, err = adoptStores(opt, stores, meta.Family, meta.K, meta.Ell, meta.Shards); err != nil {
 		return nil, err
 	}
-	_, sim, err := familyFor(opt)
-	if err != nil {
-		closeAll()
-		return nil, err
-	}
-	applyStorePolicy(opt, stores...)
-	return &ShardedCollection{
-		opt:    opt,
-		family: group.Family(),
-		sim:    sim,
-		group:  group,
-		stores: stores,
-	}, nil
+	c := &ShardedCollection{}
+	c.init(opt, group)
+	c.stores, c.seal = stores, groupSeal(dir, group)
+	return c, nil
 }
 
 // OpenCrossJoin recovers the durable cross join stored in dir: the cross
@@ -199,25 +180,10 @@ func OpenCrossJoin(dir string, opt Options) (*CrossJoin, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lshjoin: %w", err)
 	}
-	closeAll := func() {
-		for _, st := range leftStores {
-			st.Close()
-		}
-		for _, st := range rightStores {
-			st.Close()
-		}
-	}
-	if opt, err = reconcile(opt, meta.Family, meta.K, 1, meta.Shards); err != nil {
-		closeAll()
+	if opt, err = adoptStores(opt, slices.Concat(leftStores, rightStores), meta.Family, meta.K, 1, meta.Shards); err != nil {
 		return nil, err
 	}
-	_, sim, err := familyFor(opt)
-	if err != nil {
-		closeAll()
-		return nil, err
-	}
-	applyStorePolicy(opt, leftStores...)
-	applyStorePolicy(opt, rightStores...)
+	_, sim := familyFor(opt)
 	return &CrossJoin{
 		opt:         opt,
 		family:      left.Family(),
@@ -230,6 +196,63 @@ func OpenCrossJoin(dir string, opt Options) (*CrossJoin, error) {
 	}, nil
 }
 
+// closeStores makes durable state final: every index publishes and its
+// store checkpoints the result, seal (nil for a plain store) rewrites the
+// manifests with the final durable version vector, and every store closes.
+// It returns the first error, a store's sticky error included.
+func closeStores(indexes []*lsh.Index, stores []*persist.Store, seal func(versions []uint64) error) error {
+	var cerr error
+	keep := func(err error) {
+		if err != nil && cerr == nil {
+			cerr = err
+		}
+	}
+	versions := make([]uint64, len(stores))
+	for s, st := range stores {
+		indexes[s].PublishAndThen(func(snap *lsh.Snapshot) { keep(st.Checkpoint(snap)) })
+		versions[s] = st.DurableVersion()
+	}
+	if seal != nil {
+		keep(seal(versions))
+	}
+	for _, st := range stores {
+		keep(st.Close())
+	}
+	if cerr != nil {
+		return fmt.Errorf("lshjoin: close: %w", cerr)
+	}
+	return nil
+}
+
+// groupSeal returns the seal of a group store in dir: it rewrites the
+// group manifest with g's shape and the final shard version vector.
+func groupSeal(dir string, g *lsh.ShardGroup) func(versions []uint64) error {
+	return func(versions []uint64) error {
+		spec, err := lsh.SpecOf(g.Family())
+		if err != nil {
+			return err
+		}
+		return persist.WriteGroupManifest(faultfs.OS{}, dir, persist.GroupMeta{
+			Family: spec, K: g.K(), Ell: g.L(), Shards: g.S(), Versions: versions,
+		})
+	}
+}
+
+// Close makes the collection durable at its current version — pending
+// inserts are published on every shard, each shard checkpointed and
+// fsynced, and a sharded collection's group manifest rewritten with the
+// final shard version vector — and releases the stores. It returns the
+// first sticky store error, if any: a non-nil return means some earlier
+// publish may not have reached disk and the checkpoint could not repair
+// it. Close is idempotent; a purely in-memory collection closes trivially.
+// The collection must not be used afterwards.
+func (c *inProcess) Close() error {
+	if c.stores == nil || !c.closed.CompareAndSwap(false, true) {
+		return nil
+	}
+	return closeStores(c.group.Indexes(), c.stores, c.seal)
+}
+
 // Close makes both sides durable at their current versions — every shard
 // publishes and checkpoints — rewrites each side's group manifest and the
 // cross manifest with the final version-vector pair, then releases the
@@ -239,98 +262,26 @@ func (cj *CrossJoin) Close() error {
 	if cj.leftStores == nil || !cj.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	var cerr error
-	lvers := closeSideStores(cj.left, cj.leftStores, &cerr)
-	rvers := closeSideStores(cj.right, cj.rightStores, &cerr)
-	spec, err := lsh.SpecOf(cj.family)
-	if err == nil {
-		for _, side := range []struct {
-			left     bool
-			versions []uint64
-		}{{true, lvers}, {false, rvers}} {
-			gm := persist.GroupMeta{
-				Family: spec, K: cj.opt.K, Ell: 1,
-				Shards: cj.left.S(), Versions: side.versions,
-			}
-			if werr := persist.WriteGroupManifest(faultfs.OS{}, persist.CrossSideDir(cj.opt.Dir, side.left), gm); werr != nil && err == nil {
-				err = werr
-			}
+	S := cj.left.S()
+	leftSeal := groupSeal(persist.CrossSideDir(cj.opt.Dir, true), cj.left)
+	rightSeal := groupSeal(persist.CrossSideDir(cj.opt.Dir, false), cj.right)
+	seal := func(versions []uint64) error {
+		lvers, rvers := versions[:S], versions[S:]
+		lerr, rerr := leftSeal(lvers), rightSeal(rvers)
+		if lerr != nil {
+			return lerr
 		}
-		if err == nil {
-			err = persist.WriteCrossManifest(faultfs.OS{}, cj.opt.Dir, persist.CrossMeta{
-				Family: spec, K: cj.opt.K, Shards: cj.left.S(),
-				LeftVersions: lvers, RightVersions: rvers,
-			})
+		if rerr != nil {
+			return rerr
 		}
-	}
-	if err != nil && cerr == nil {
-		cerr = err
-	}
-	for _, st := range append(append([]*persist.Store(nil), cj.leftStores...), cj.rightStores...) {
-		if err := st.Close(); err != nil && cerr == nil {
-			cerr = err
+		spec, err := lsh.SpecOf(cj.family)
+		if err != nil {
+			return err
 		}
-	}
-	if cerr != nil {
-		return fmt.Errorf("lshjoin: close: %w", cerr)
-	}
-	return nil
-}
-
-// closeSideStores publishes and checkpoints every shard of one side,
-// recording the first sticky error in cerr, and returns the side's final
-// durable version vector.
-func closeSideStores(g *lsh.ShardGroup, stores []*persist.Store, cerr *error) []uint64 {
-	versions := make([]uint64, len(stores))
-	for s, st := range stores {
-		shard, store := g.Shard(s), st
-		shard.PublishAndThen(func(snap *lsh.Snapshot) {
-			if err := store.Checkpoint(snap); err != nil && *cerr == nil {
-				*cerr = err
-			}
+		return persist.WriteCrossManifest(faultfs.OS{}, cj.opt.Dir, persist.CrossMeta{
+			Family: spec, K: cj.opt.K, Shards: S, LeftVersions: lvers, RightVersions: rvers,
 		})
-		versions[s] = store.DurableVersion()
 	}
-	return versions
-}
-
-// Close makes every shard durable at its current version and rewrites the
-// group manifest with the final shard version vector, then releases the
-// stores. Semantics otherwise match Collection.Close: idempotent, trivial
-// for in-memory collections, and the first sticky shard error is returned.
-func (c *ShardedCollection) Close() error {
-	if c.stores == nil || !c.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	var cerr error
-	versions := make([]uint64, len(c.stores))
-	for s, st := range c.stores {
-		shard, store := c.group.Shard(s), st
-		shard.PublishAndThen(func(snap *lsh.Snapshot) {
-			if err := store.Checkpoint(snap); err != nil && cerr == nil {
-				cerr = err
-			}
-		})
-		versions[s] = store.DurableVersion()
-	}
-	spec, err := lsh.SpecOf(c.family)
-	if err == nil {
-		meta := persist.GroupMeta{
-			Family: spec, K: c.opt.K, Ell: c.opt.Tables,
-			Shards: c.group.S(), Versions: versions,
-		}
-		err = persist.WriteGroupManifest(faultfs.OS{}, c.opt.Dir, meta)
-	}
-	if err != nil && cerr == nil {
-		cerr = err
-	}
-	for _, st := range c.stores {
-		if err := st.Close(); err != nil && cerr == nil {
-			cerr = err
-		}
-	}
-	if cerr != nil {
-		return fmt.Errorf("lshjoin: close: %w", cerr)
-	}
-	return nil
+	return closeStores(slices.Concat(cj.left.Indexes(), cj.right.Indexes()),
+		slices.Concat(cj.leftStores, cj.rightStores), seal)
 }

@@ -229,7 +229,7 @@ func TestCheckpointBytesRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.store.CheckpointBytes(); got != threshold {
+	if got := c.stores[0].CheckpointBytes(); got != threshold {
 		t.Fatalf("New store threshold %d, want %d", got, threshold)
 	}
 	if err := c.Close(); err != nil {
@@ -239,7 +239,7 @@ func TestCheckpointBytesRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.store.CheckpointBytes(); got != threshold {
+	if got := c.stores[0].CheckpointBytes(); got != threshold {
 		t.Fatalf("Open store threshold %d, want %d", got, threshold)
 	}
 	if err := c.Close(); err != nil {

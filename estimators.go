@@ -133,16 +133,15 @@ func (o *estOpts) ssOptions(n int) []core.LSHSSOption {
 }
 
 // buildEstimator constructs the requested algorithm over a captured
-// shard-snapshot vector — the one algorithm switch behind both Collection
-// (which wraps its single snapshot via lsh.SingleSnapshot) and
-// ShardedCollection. The merged constructors all delegate to their
-// single-snapshot counterparts at S = 1, so the unsharded path is
-// draw-for-draw what it always was; at S > 1 the LSH-SS family, the median
-// and virtual-bucket estimators sample through the merged per-table weight
+// shard-snapshot vector — the one algorithm switch behind every collection
+// surface. The merged constructors all delegate to their single-snapshot
+// counterparts at S = 1, so a one-shard capture is draw-for-draw the
+// unsharded path; at S > 1 the LSH-SS family, the median and
+// virtual-bucket estimators sample through the merged per-table weight
 // views (per-shard N_H plus cross-shard bipartite N_H — exactly the union
 // index's stratum H), J_U and LSH-S consume the exact merged N_H, and the
 // sampling baselines and Lattice Counting run over the dense union corpus.
-func buildEstimator(gs *lsh.GroupSnapshot, family lsh.Family, sim core.SimFunc, opt Options, algo Algorithm, o estOpts) (core.Estimator, error) {
+func buildEstimator(gs *lsh.GroupSnapshot, sim core.SimFunc, opt Options, algo Algorithm, o estOpts) (core.Estimator, error) {
 	ssOpts := o.ssOptions(gs.N())
 	var inner core.Estimator
 	var err error
@@ -174,7 +173,7 @@ func buildEstimator(gs *lsh.GroupSnapshot, family lsh.Family, sim core.SimFunc, 
 		if o.support > 0 {
 			cfg.MinSupport = o.support
 		}
-		inner, err = lc.New(gs.Data(), family, cfg)
+		inner, err = lc.New(gs.Data(), gs.Family(), cfg)
 	case AlgoMedian:
 		if opt.Tables < 2 {
 			return nil, fmt.Errorf("lshjoin: %s needs Options.Tables > 1 (have %d)", algo, opt.Tables)
@@ -200,39 +199,25 @@ func buildEstimator(gs *lsh.GroupSnapshot, family lsh.Family, sim core.SimFunc, 
 	return inner, nil
 }
 
-// Estimator constructs the requested algorithm over this collection.
-func (c *Collection) Estimator(algo Algorithm, opts ...EstimatorOption) (Estimator, error) {
+// Estimator constructs the requested algorithm over the collection's
+// current state — every algorithm of the paper, over any shard count. The
+// estimator binds to the shard-snapshot vector captured now and reads those
+// immutable per-shard versions for its whole lifetime; a remote collection
+// fetches changed shards first, so its estimates are draw-for-draw those of
+// an in-process collection with equal data, options and estimator seeds.
+func (r *reader) Estimator(algo Algorithm, opts ...EstimatorOption) (Estimator, error) {
 	var o estOpts
 	for _, opt := range opts {
 		opt(&o)
 	}
 	if o.seed == 0 {
-		o.seed = c.nextSeed()
+		o.seed = r.nextSeed()
 	}
-	// Bind to the collection version current at construction; the estimator
-	// reads this immutable snapshot for its whole lifetime.
-	inner, err := buildEstimator(lsh.SingleSnapshot(c.snap()), c.family, c.sim, c.opt, algo, o)
+	gs, err := r.snapshot()
 	if err != nil {
 		return nil, err
 	}
-	return &seeded{inner: inner, rng: xrand.New(o.seed)}, nil
-}
-
-// Estimator constructs the requested algorithm over this sharded collection.
-// Every algorithm of the paper is available over shards; with one shard the
-// construction delegates to the single-index path, so estimates are
-// draw-for-draw those of an equivalent Collection.
-func (c *ShardedCollection) Estimator(algo Algorithm, opts ...EstimatorOption) (Estimator, error) {
-	var o estOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.seed == 0 {
-		o.seed = c.nextSeed()
-	}
-	// Bind to the shard-snapshot vector captured now; the estimator reads
-	// these immutable per-shard versions for its whole lifetime.
-	inner, err := buildEstimator(c.capture(), c.family, c.sim, c.opt, algo, o)
+	inner, err := buildEstimator(gs, r.sim, r.opt, algo, o)
 	if err != nil {
 		return nil, err
 	}

@@ -59,14 +59,24 @@ func (j *Joiner) N() int { return j.n }
 // M returns the number of unordered pairs C(n, 2).
 func (j *Joiner) M() int64 { return int64(j.n) * int64(j.n-1) / 2 }
 
+// CheckThreshold rejects a join threshold outside (0, 1], NaN included —
+// the rule the estimators apply, so exact and estimated joins accept the
+// same thresholds.
+func CheckThreshold(tau float64) error {
+	if !(tau > 0 && tau <= 1) {
+		return fmt.Errorf("exactjoin: threshold must be in (0, 1], got %v", tau)
+	}
+	return nil
+}
+
 // Counts returns, for each threshold, the exact number of unordered pairs
 // (u, v), u ≠ v with cos(u, v) ≥ τ. Thresholds must be strictly positive
 // (pairs with no shared dimension have cos = 0 and are never enumerated) and
 // are handled in one accumulation pass regardless of how many there are.
 func (j *Joiner) Counts(thresholds []float64) ([]int64, error) {
 	for _, t := range thresholds {
-		if t <= 0 || t > 1 {
-			return nil, fmt.Errorf("exactjoin: thresholds must be in (0, 1], got %v", t)
+		if err := CheckThreshold(t); err != nil {
+			return nil, err
 		}
 	}
 	sorted := append([]float64(nil), thresholds...)
@@ -120,8 +130,8 @@ func (j *Joiner) Histogram(edges []float64) ([]int64, error) {
 		return nil, fmt.Errorf("exactjoin: need at least two edges")
 	}
 	for i, e := range edges {
-		if e <= 0 || e > 1 {
-			return nil, fmt.Errorf("exactjoin: edges must be in (0, 1], got %v", e)
+		if err := CheckThreshold(e); err != nil {
+			return nil, err
 		}
 		if i > 0 && e <= edges[i-1] {
 			return nil, fmt.Errorf("exactjoin: edges must be strictly ascending")
@@ -199,8 +209,8 @@ type Pair struct {
 // frequent features relegated to the unindexed suffix, their huge posting
 // lists never generate candidates.
 func (j *Joiner) Pairs(tau float64) ([]Pair, error) {
-	if tau <= 0 || tau > 1 {
-		return nil, fmt.Errorf("exactjoin: tau must be in (0, 1], got %v", tau)
+	if err := CheckThreshold(tau); err != nil {
+		return nil, err
 	}
 	// Per-dimension max weight over the normalized collection.
 	maxw := make(map[uint32]float64, len(j.postings))

@@ -1,6 +1,7 @@
 package exactjoin
 
 import (
+	"math"
 	"testing"
 
 	"lshjoin/internal/vecmath"
@@ -218,6 +219,29 @@ func TestPairsValidation(t *testing.T) {
 	}
 	if _, err := j.Pairs(1.1); err == nil {
 		t.Error("tau > 1 accepted")
+	}
+}
+
+// NaN compares false against both bounds of (0, 1], so a range check
+// written as t <= 0 || t > 1 lets it through; every entry point must
+// reject it.
+func TestNaNThresholdRejected(t *testing.T) {
+	j := NewJoiner(randCollection(10, 20, 4, 1))
+	nan := math.NaN()
+	if err := CheckThreshold(nan); err == nil {
+		t.Error("CheckThreshold accepted NaN")
+	}
+	if _, err := j.Counts([]float64{0.5, nan}); err == nil {
+		t.Error("Counts accepted NaN")
+	}
+	if _, err := j.CountAt(nan); err == nil {
+		t.Error("CountAt accepted NaN")
+	}
+	if _, err := j.Pairs(nan); err == nil {
+		t.Error("Pairs accepted NaN")
+	}
+	if _, err := j.Histogram([]float64{0.5, nan}); err == nil {
+		t.Error("Histogram accepted a NaN edge")
 	}
 }
 

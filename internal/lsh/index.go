@@ -145,6 +145,17 @@ func (x *Index) Current() *Snapshot { return x.cur.Load() }
 // Collection) use it to decide when to cut a version.
 func (x *Index) Pending() int { return int(x.npend.Load()) }
 
+// MaybePublish applies the size-based publication policy every writer
+// shares (Options.PublishEvery): it publishes as soon as the pending delta
+// holds at least every vectors, and does nothing for every ≤ 0. Snapshot
+// re-checks the pending count under the writer lock, so concurrent inserts
+// publish each delta exactly once.
+func (x *Index) MaybePublish(every int) {
+	if every > 0 && x.Pending() >= every {
+		x.Snapshot()
+	}
+}
+
 // Snapshot publishes any pending inserts as a new immutable version and
 // returns it. With no pending delta this is one atomic load. The merge cost
 // for a d-key delta is O(d · log #buckets) per table: only the buckets the

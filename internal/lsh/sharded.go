@@ -3,6 +3,7 @@ package lsh
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -198,6 +199,9 @@ func (g *ShardGroup) Family() Family { return g.family }
 // Shard returns shard s's Index, for per-shard inspection.
 func (g *ShardGroup) Shard(s int) *Index { return g.shards[s] }
 
+// Indexes returns the per-shard indexes in shard order.
+func (g *ShardGroup) Indexes() []*Index { return slices.Clone(g.shards) }
+
 // Route returns the home shard of v under consistent key-hash routing.
 func (g *ShardGroup) Route(v vecmath.Vector) int {
 	return RouteVector(v, len(g.shards))
@@ -215,34 +219,53 @@ func (g *ShardGroup) Insert(v vecmath.Vector) int64 {
 // per-shard runs (each through the batched signature engine), and returns the
 // per-vector group ids aligned with vs.
 func (g *ShardGroup) InsertBatch(vs []vecmath.Vector) []int64 {
+	ids, _ := InsertRouted(vs, len(g.shards), func(s int, run []vecmath.Vector) (int, error) {
+		return g.shards[s].InsertBatch(run), nil
+	})
+	return ids
+}
+
+// InsertRouted is the batch routing and id assignment of every sharded
+// writer, in process or over the wire: it splits vs into per-shard runs by
+// home shard (one shard takes vs whole), hands each non-empty run to insert
+// in shard order, and returns the group ids aligned with vs. insert returns
+// the first local id it assigned; its first error stops the batch.
+func InsertRouted(vs []vecmath.Vector, shards int, insert func(s int, run []vecmath.Vector) (int, error)) ([]int64, error) {
 	ids := make([]int64, len(vs))
-	if len(g.shards) == 1 {
-		first := g.shards[0].InsertBatch(vs)
+	if shards == 1 {
+		first, err := insert(0, vs)
+		if err != nil {
+			return nil, err
+		}
 		for i := range ids {
 			ids[i] = int64(first + i)
 		}
-		return ids
+		return ids, nil
 	}
-	parts := make([][]vecmath.Vector, len(g.shards))
+	parts := make([][]vecmath.Vector, shards)
 	home := make([]int, len(vs))
 	for i, v := range vs {
-		s := g.Route(v)
+		s := RouteVector(v, shards)
 		home[i] = s
 		parts[s] = append(parts[s], v)
 	}
-	first := make([]int, len(g.shards))
+	next := make([]int, shards)
 	for s, part := range parts {
-		if len(part) > 0 {
-			first[s] = g.shards[s].InsertBatch(part)
+		if len(part) == 0 {
+			continue
 		}
+		first, err := insert(s, part)
+		if err != nil {
+			return nil, err
+		}
+		next[s] = first
 	}
-	next := first
 	for i := range vs {
 		s := home[i]
 		ids[i] = GroupID(s, next[s])
 		next[s]++
 	}
-	return ids
+	return ids, nil
 }
 
 // Pending returns the total number of inserted vectors not yet published by

@@ -1,6 +1,8 @@
 package lsh
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"lshjoin/internal/vecmath"
@@ -263,6 +265,39 @@ func TestGroupInsertBatchMatchesInserts(t *testing.T) {
 		for ti := 0; ti < 2; ti++ {
 			tablesEqual(t, sb.Snap(s).Table(ti), sa.Snap(s).Table(ti))
 		}
+	}
+}
+
+// InsertRouted hands runs to insert in shard order, assigns ids from each
+// run's first local id, and stops at the first failing shard.
+func TestInsertRoutedOrderAndError(t *testing.T) {
+	vs := randData(60, 400, 6, 73)
+	var order []int
+	ids, err := InsertRouted(vs, 4, func(s int, run []vecmath.Vector) (int, error) {
+		order = append(order, s)
+		return 10 * s, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.IsSorted(order) {
+		t.Fatalf("runs inserted in shard order %v", order)
+	}
+	next := map[int]int{}
+	for i, v := range vs {
+		s := RouteVector(v, 4)
+		if want := GroupID(s, 10*s+next[s]); ids[i] != want {
+			t.Fatalf("vector %d: id %d, want %d", i, ids[i], want)
+		}
+		next[s]++
+	}
+	boom := errors.New("boom")
+	calls := 0
+	if _, err := InsertRouted(vs, 4, func(int, []vecmath.Vector) (int, error) {
+		calls++
+		return 0, boom
+	}); !errors.Is(err, boom) || calls != 1 {
+		t.Fatalf("error %v after %d calls, want boom after 1", err, calls)
 	}
 }
 

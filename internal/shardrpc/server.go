@@ -186,9 +186,7 @@ func (s *Server) handle(typ uint32, payload []byte) (uint32, []byte) {
 			return TErr, encodeErrResp(CodeBadRequest, "empty ingest batch")
 		}
 		first := s.idx.InsertBatch(vs)
-		if p := s.opt.PublishEvery; p > 0 && s.idx.Pending() >= p {
-			s.idx.Snapshot()
-		}
+		s.idx.MaybePublish(s.opt.PublishEvery)
 		return TIngestOK, encodeIngestResp(first, len(vs))
 
 	case TPublish:

@@ -1,17 +1,9 @@
 package lshjoin
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-
 	"lshjoin/internal/core"
-	"lshjoin/internal/exactjoin"
-	"lshjoin/internal/faultfs"
 	"lshjoin/internal/lsh"
-	"lshjoin/internal/lsh/persist"
 	"lshjoin/internal/vecmath"
-	"lshjoin/internal/xrand"
 )
 
 // Vector is a sparse real-valued vector (sorted non-zero entries).
@@ -120,20 +112,19 @@ func (o *Options) fillDefaults() {
 	}
 }
 
-// familyFor resolves the measure to its LSH family and similarity function.
-func familyFor(opt Options) (lsh.Family, core.SimFunc, error) {
-	switch opt.Measure {
-	case CosineSimilarity:
-		return lsh.NewSimHash(opt.Seed), vecmath.Cosine, nil
-	case JaccardSimilarity:
-		return lsh.NewMinHash(opt.Seed), vecmath.Jaccard, nil
-	default:
-		return nil, nil, fmt.Errorf("%w: unknown measure %d", ErrInvalidOptions, opt.Measure)
+// familyFor resolves a validated measure to its LSH family and similarity
+// function.
+func familyFor(opt Options) (lsh.Family, core.SimFunc) {
+	if opt.Measure == JaccardSimilarity {
+		return lsh.NewMinHash(opt.Seed), vecmath.Jaccard
 	}
+	return lsh.NewSimHash(opt.Seed), vecmath.Cosine
 }
 
 // Collection is an indexed vector collection: the entry point for join size
-// estimation, exact joins, and similarity search.
+// estimation, exact joins, and similarity search. It is the one-shard case
+// of ShardedCollection — one index under the same read path — and keeps the
+// plain single-store layout on disk.
 //
 // A Collection is safe for concurrent use: Insert and InsertBatch append to
 // the index's pending delta under a write lock, reads run against
@@ -143,21 +134,7 @@ func familyFor(opt Options) (lsh.Family, core.SimFunc, error) {
 // arrive after it was built; construct a new estimator to observe newer
 // data.
 type Collection struct {
-	opt    Options
-	family lsh.Family
-	sim    core.SimFunc
-	index  *lsh.Index
-
-	// Durable backing (nil for in-memory collections); closed flips once.
-	store  *persist.Store
-	closed atomic.Bool
-
-	seedCtr atomic.Uint64
-
-	// The exact joiner is rebuilt lazily whenever the index version moved.
-	joinerMu  sync.Mutex
-	joiner    *exactjoin.Joiner
-	joinerVer uint64
+	inProcess
 }
 
 // New indexes the vectors. The collection keeps a reference to the slice;
@@ -165,87 +142,11 @@ type Collection struct {
 // store is created there (ErrStoreExists if one already is) and every
 // published version persists across restarts; reopen with Open.
 func New(vectors []Vector, opt Options) (*Collection, error) {
-	opt, err := opt.normalized()
-	if err != nil {
+	c := &Collection{}
+	if err := c.build(vectors, opt, true); err != nil {
 		return nil, err
-	}
-	if len(vectors) < 2 {
-		return nil, fmt.Errorf("lshjoin: need at least 2 vectors, got %d", len(vectors))
-	}
-	family, sim, err := familyFor(opt)
-	if err != nil {
-		return nil, err
-	}
-	index, err := lsh.BuildSigned(vectors, family, opt.K, opt.Tables, opt.signConfig())
-	if err != nil {
-		return nil, fmt.Errorf("lshjoin: %w", err)
-	}
-	c := &Collection{
-		opt:    opt,
-		family: family,
-		sim:    sim,
-		index:  index,
-	}
-	if opt.Dir != "" {
-		if c.store, err = persist.Create(faultfs.OS{}, opt.Dir, index); err != nil {
-			return nil, fmt.Errorf("lshjoin: %w", err)
-		}
-		applyStorePolicy(opt, c.store)
 	}
 	return c, nil
-}
-
-// snap publishes any pending inserts and returns the latest immutable view.
-func (c *Collection) snap() *lsh.Snapshot { return c.index.Snapshot() }
-
-// N returns the number of vectors (including all completed Inserts).
-func (c *Collection) N() int { return c.snap().N() }
-
-// Vector returns vector i.
-func (c *Collection) Vector(i int) Vector { return c.snap().Data()[i] }
-
-// K returns the per-table hash function count.
-func (c *Collection) K() int { return c.opt.K }
-
-// Tables returns the number of LSH tables ℓ.
-func (c *Collection) Tables() int { return c.opt.Tables }
-
-// IndexBytes estimates the LSH index size using the paper's §6.3 accounting
-// (g values, bucket counts, vector ids).
-func (c *Collection) IndexBytes() int64 { return c.snap().SizeBytes() }
-
-// PairsSharingBucket returns N_H of table 0: the number of vector pairs
-// co-located in some bucket — the quantity the extended LSH index maintains.
-func (c *Collection) PairsSharingBucket() int64 { return c.snap().Table(0).NH() }
-
-// Version returns the collection's publish version: it increments every
-// time inserts become visible to new readers (1 for a fresh collection).
-func (c *Collection) Version() uint64 { return c.snap().Version() }
-
-// EstimateJoinSize estimates |{(u,v): sim(u,v) ≥ tau, u ≠ v}| with LSH-SS
-// under the paper's default parameters (m_H = m_L = n, δ = log₂ n, safe
-// lower bound). Each call draws fresh randomness; use Estimator for
-// reproducible or repeated estimation.
-func (c *Collection) EstimateJoinSize(tau float64) (float64, error) {
-	est, err := c.Estimator(AlgoLSHSS)
-	if err != nil {
-		return 0, err
-	}
-	return est.Estimate(tau)
-}
-
-// Insert adds a vector to the collection and its LSH index (ℓ·k hash
-// evaluations; bucket counts and N_H stay exact), returning the vector's
-// id. The insert is visible to every subsequent read on this collection;
-// estimators constructed earlier keep answering over the version they were
-// built on. Safe to call concurrently with reads, estimates and other
-// inserts. With Options.PublishEvery set, Insert also publishes once the
-// pending delta reaches the policy size, so lock-free readers observe fresh
-// versions without issuing reads of their own.
-func (c *Collection) Insert(v Vector) int {
-	id := c.index.Insert(v)
-	c.maybePublish()
-	return id
 }
 
 // InsertBatch inserts vectors in order and returns the id of the first.
@@ -253,133 +154,8 @@ func (c *Collection) Insert(v Vector) int {
 // costs far less than repeated Inserts, and readers observe the whole batch
 // atomically at the next read (or immediately, under Options.PublishEvery).
 func (c *Collection) InsertBatch(vs []Vector) int {
-	first := c.index.InsertBatch(vs)
-	c.maybePublish()
+	x := c.group.Shard(0)
+	first := x.InsertBatch(vs)
+	x.MaybePublish(c.opt.PublishEvery)
 	return first
-}
-
-// maybePublish applies the size-based publication policy: cut a new version
-// as soon as the pending delta reaches PublishEvery vectors. The pending
-// count is re-checked inside Snapshot under the writer lock, so concurrent
-// inserts publish each delta exactly once.
-func (c *Collection) maybePublish() {
-	if p := c.opt.PublishEvery; p > 0 && c.index.Pending() >= p {
-		c.index.Snapshot()
-	}
-}
-
-// EstimateJoinSizeCurve estimates the whole selectivity curve J(τ) for a
-// grid of thresholds from one shared LSH-SS sampling pass — what an
-// optimizer costing a similarity predicate at several candidate thresholds
-// wants. The result aligns with taus and is monotone non-increasing after
-// sorting taus ascending.
-func (c *Collection) EstimateJoinSizeCurve(taus []float64) ([]float64, error) {
-	inner, err := core.NewLSHSS(c.snap(), c.sim)
-	if err != nil {
-		return nil, err
-	}
-	return inner.EstimateCurve(taus, xrand.New(c.nextSeed()))
-}
-
-// exactJoiner returns the inverted-index joiner for the current version,
-// rebuilding it only when inserts have been published since the last call.
-func (c *Collection) exactJoiner() (*exactjoin.Joiner, *lsh.Snapshot) {
-	s := c.snap()
-	c.joinerMu.Lock()
-	defer c.joinerMu.Unlock()
-	if c.joiner != nil && c.joinerVer == s.Version() {
-		return c.joiner, s
-	}
-	j := exactjoin.NewJoiner(s.Data())
-	// Only move the cache forward: a reader that raced publication and holds
-	// an older version gets a correct one-off joiner without evicting the
-	// newer cached one (no rebuild ping-pong between concurrent readers).
-	if c.joiner == nil || s.Version() > c.joinerVer {
-		c.joiner, c.joinerVer = j, s.Version()
-	}
-	return j, s
-}
-
-// ExactJoinSize computes the true join size with the inverted-index exact
-// joiner — O(Σ df²), for ground truth and small-to-medium collections.
-func (c *Collection) ExactJoinSize(tau float64) (int64, error) {
-	if c.opt.Measure != CosineSimilarity {
-		return c.exactBrute(c.snap(), tau)
-	}
-	j, _ := c.exactJoiner()
-	return j.CountAt(tau)
-}
-
-func (c *Collection) exactBrute(s *lsh.Snapshot, tau float64) (int64, error) {
-	data := s.Data()
-	var count int64
-	for i := range data {
-		for j := i + 1; j < len(data); j++ {
-			if c.sim(data[i], data[j]) >= tau {
-				count++
-			}
-		}
-	}
-	return count, nil
-}
-
-// JoinPair is one similarity join result.
-type JoinPair struct {
-	U, V int     // vector indices, U < V
-	Sim  float64 // their similarity
-}
-
-// JoinPairs materializes the exact similarity join at tau. Cosine
-// collections use the All-Pairs prefix-filtered joiner; other measures fall
-// back to the brute-force pair scan (O(n²) similarity evaluations), so the
-// API is complete across measures.
-func (c *Collection) JoinPairs(tau float64) ([]JoinPair, error) {
-	if c.opt.Measure != CosineSimilarity {
-		return c.joinPairsBrute(tau)
-	}
-	j, _ := c.exactJoiner()
-	raw, err := j.Pairs(tau)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]JoinPair, len(raw))
-	for i, p := range raw {
-		out[i] = JoinPair{U: int(p.U), V: int(p.V), Sim: p.Sim}
-	}
-	return out, nil
-}
-
-// joinPairsBrute enumerates every pair — the measure-agnostic fallback.
-func (c *Collection) joinPairsBrute(tau float64) ([]JoinPair, error) {
-	if tau <= 0 || tau > 1 {
-		return nil, fmt.Errorf("lshjoin: threshold must be in (0, 1], got %v", tau)
-	}
-	data := c.snap().Data()
-	var out []JoinPair
-	for i := range data {
-		for j := i + 1; j < len(data); j++ {
-			if s := c.sim(data[i], data[j]); s >= tau {
-				out = append(out, JoinPair{U: i, V: j, Sim: s})
-			}
-		}
-	}
-	return out, nil
-}
-
-// SearchSimilar returns indices of indexed vectors with sim(v, ·) ≥ tau
-// among the LSH candidates of v — approximate search with the usual LSH
-// false-negative caveat. The search runs lock-free against the latest
-// published version.
-func (c *Collection) SearchSimilar(v Vector, tau float64) []int {
-	ids := c.snap().Search(v, tau)
-	out := make([]int, len(ids))
-	for i, id := range ids {
-		out[i] = int(id)
-	}
-	return out
-}
-
-// nextSeed derives a fresh deterministic seed for estimator construction.
-func (c *Collection) nextSeed() uint64 {
-	return xrand.Mix2(c.opt.Seed^0xE57AB1E, c.seedCtr.Add(1))
 }

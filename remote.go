@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lshjoin/internal/core"
-	"lshjoin/internal/exactjoin"
 	"lshjoin/internal/lsh"
 	"lshjoin/internal/lsh/persist"
 	"lshjoin/internal/shardrpc"
@@ -64,10 +62,11 @@ func WithRetryPolicy(retries int, backoff time.Duration) RemoteOption {
 // RemoteCollection is the coordinator side of network shard serving: the
 // estimate surface of a ShardedCollection over S shard servers instead of S
 // in-process shards. addrs[s] serves shard s of the consistent-hash key
-// space — Insert routes with the same jump-hash routing as NewSharded, and
-// reads fetch per-shard snapshots (with a version-checked not-modified fast
-// path), reassemble them into the group view, and run the merged estimators
-// locally with the same deterministic seed-stream discipline.
+// space — Insert routes with the same jump-hash routing as NewSharded. Only
+// capture and ingest are remote: reads fetch per-shard snapshots (with a
+// version-checked not-modified fast path), reassemble them into the group
+// view, and from there run the read path a ShardedCollection runs — the
+// same merged estimators, seed stream and exact-joiner cache — locally.
 //
 // A distributed estimate is therefore bit-equal to the in-process one: for
 // the same vectors, options and estimator seeds, every algorithm returns
@@ -84,13 +83,10 @@ func WithRetryPolicy(retries int, backoff time.Duration) RemoteOption {
 // no partial estimates over a subset of shards. All methods are safe for
 // unsynchronized concurrent use.
 type RemoteCollection struct {
-	opt     Options
+	reader
 	family  lsh.Family
-	sim     core.SimFunc
 	clients []*shardrpc.Client
 	closed  atomic.Bool
-
-	seedCtr atomic.Uint64
 
 	// Per-shard snapshot cache: versions are monotone per shard, so cached
 	// entries only ever advance, and an unchanged shard costs one
@@ -156,56 +152,14 @@ func Connect(addrs []string, opt Options, ropts ...RemoteOption) (*RemoteCollect
 				ErrInvalidOptions, s, c.Addr(), h.Family, h.K, h.Ell, h0.Family, h0.K, h0.Ell)
 		}
 	}
-	if opt, err = adoptHello(opt, h0, len(addrs)); err != nil {
+	if opt, err = adopt(opt, "the shard servers", ErrShardProtocol, h0.Family, h0.K, h0.Ell, len(addrs)); err != nil {
 		closeAll()
 		return nil, err
 	}
-	family, sim, err := familyFor(opt)
-	if err != nil {
-		closeAll()
-		return nil, err
-	}
-	return &RemoteCollection{
-		opt:     opt,
-		family:  family,
-		sim:     sim,
-		clients: clients,
-		snaps:   make([]*lsh.Snapshot, len(addrs)),
-	}, nil
-}
-
-// adoptHello folds the servers' hashing identity into opt under the
-// adopt-or-assert rule (the network analogue of the store reconcile).
-func adoptHello(opt Options, h shardrpc.Hello, shards int) (Options, error) {
-	measure, err := measureOfSpec(h.Family)
-	if err != nil {
-		return opt, err
-	}
-	if opt.K != 0 && opt.K != h.K {
-		return opt, fmt.Errorf("%w: K = %d but the shard servers hash with K = %d", ErrInvalidOptions, opt.K, h.K)
-	}
-	if opt.Tables != 0 && opt.Tables != h.Ell {
-		return opt, fmt.Errorf("%w: Tables = %d but the shard servers hash with %d", ErrInvalidOptions, opt.Tables, h.Ell)
-	}
-	if opt.Seed != 0 && opt.Seed != h.Family.Seed {
-		return opt, fmt.Errorf("%w: Seed = %d but the shard servers hash with %d", ErrInvalidOptions, opt.Seed, h.Family.Seed)
-	}
-	if opt.Measure != measure && opt.Measure != CosineSimilarity {
-		return opt, fmt.Errorf("%w: Measure conflicts with the shard servers' hash family %q", ErrInvalidOptions, h.Family.Name)
-	}
-	opt.K, opt.Tables, opt.Seed, opt.Measure, opt.Shards = h.K, h.Ell, h.Family.Seed, measure, shards
-	return opt, nil
-}
-
-// measureOfSpec maps a served family spec back to the public Measure.
-func measureOfSpec(spec lsh.FamilySpec) (Measure, error) {
-	switch spec.Name {
-	case "simhash":
-		return CosineSimilarity, nil
-	case "minhash":
-		return JaccardSimilarity, nil
-	}
-	return 0, fmt.Errorf("lshjoin: shard servers hash with unsupported family %q: %w", spec.Name, ErrShardProtocol)
+	c := &RemoteCollection{clients: clients, snaps: make([]*lsh.Snapshot, len(addrs))}
+	c.family, c.sim = familyFor(opt)
+	c.opt, c.snapshot = opt, c.capture
+	return c, nil
 }
 
 // Close closes every shard connection. The shard servers themselves — and
@@ -225,12 +179,6 @@ func (c *RemoteCollection) Close() error {
 
 // Shards returns the shard count S (one per address).
 func (c *RemoteCollection) Shards() int { return len(c.clients) }
-
-// K returns the per-table hash function count.
-func (c *RemoteCollection) K() int { return c.opt.K }
-
-// Tables returns the number of LSH tables ℓ.
-func (c *RemoteCollection) Tables() int { return c.opt.Tables }
 
 // ShardOf returns the home shard encoded in a vector id returned by Insert.
 func (c *RemoteCollection) ShardOf(id int) int {
@@ -327,16 +275,11 @@ func (c *RemoteCollection) N() (int, error) {
 // Version returns the summed per-shard publish version, as
 // ShardedCollection.Version does. For the vector itself see ShardVersions.
 func (c *RemoteCollection) Version() (uint64, error) {
-	vers, err := c.ShardVersions()
+	gs, err := c.capture()
 	if err != nil {
 		return 0, err
 	}
-	var v uint64
-	for _, sv := range vers {
-		v += sv
-	}
-	//vsjlint:ignore versiondominance monotone change counter per its doc; dominance callers use ShardVersions
-	return v, nil
+	return versionSum(gs), nil
 }
 
 // ShardVersions returns the per-shard publish versions of the latest
@@ -367,11 +310,7 @@ func (c *RemoteCollection) PairsSharingBucket() (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ms, err := core.NewMergedStratum(gs, 0)
-	if err != nil {
-		return 0, fmt.Errorf("lshjoin: %w", err)
-	}
-	return ms.NH(), nil
+	return pairsSharingBucket(gs)
 }
 
 // Vector returns the vector with the given id (as returned by Insert).
@@ -394,9 +333,9 @@ func (c *RemoteCollection) Vector(id int) (Vector, error) {
 // insert may or may not have been applied.
 func (c *RemoteCollection) Insert(v Vector) (int, error) {
 	s := lsh.RouteVector(v, len(c.clients))
-	first, _, err := c.clients[s].Ingest([]Vector{v})
+	first, err := c.ingest(s, []Vector{v})
 	if err != nil {
-		return 0, fmt.Errorf("lshjoin: shard %d (%s): %w", s, c.clients[s].Addr(), err)
+		return 0, err
 	}
 	return int(lsh.GroupID(s, first)), nil
 }
@@ -406,95 +345,27 @@ func (c *RemoteCollection) Insert(v Vector) (int, error) {
 // in-process ShardedCollection.InsertBatch makes for the same vectors.
 func (c *RemoteCollection) InsertBatch(vs []Vector) ([]int, error) {
 	if len(vs) == 0 {
-		return nil, nil
+		return nil, nil // shard servers reject empty ingest batches
 	}
-	S := len(c.clients)
-	ids := make([]int, len(vs))
-	if S == 1 {
-		first, _, err := c.clients[0].Ingest(vs)
-		if err != nil {
-			return nil, fmt.Errorf("lshjoin: shard 0 (%s): %w", c.clients[0].Addr(), err)
-		}
-		for i := range ids {
-			ids[i] = first + i
-		}
-		return ids, nil
+	ids64, err := lsh.InsertRouted(vs, len(c.clients), c.ingest)
+	if err != nil {
+		return nil, err
 	}
-	parts := make([][]Vector, S)
-	home := make([]int, len(vs))
-	for i, v := range vs {
-		s := lsh.RouteVector(v, S)
-		home[i] = s
-		parts[s] = append(parts[s], v)
-	}
-	first := make([]int, S)
-	for s, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		f, _, err := c.clients[s].Ingest(part)
-		if err != nil {
-			return nil, fmt.Errorf("lshjoin: shard %d (%s): %w", s, c.clients[s].Addr(), err)
-		}
-		first[s] = f
-	}
-	next := first
-	for i := range vs {
-		s := home[i]
-		ids[i] = int(lsh.GroupID(s, next[s]))
-		next[s]++
+	ids := make([]int, len(ids64))
+	for i, id := range ids64 {
+		ids[i] = int(id)
 	}
 	return ids, nil
 }
 
-// Estimator constructs the requested algorithm over the current distributed
-// state: per-shard snapshots are fetched (or version-validated against the
-// cache), reassembled into the group view, and the merged estimator binds
-// to it — exactly the construction an in-process ShardedCollection
-// performs, including the seed stream, so estimates are draw-for-draw
-// bit-equal for equal data, options and estimator seeds.
-func (c *RemoteCollection) Estimator(algo Algorithm, opts ...EstimatorOption) (Estimator, error) {
-	var o estOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.seed == 0 {
-		o.seed = c.nextSeed()
-	}
-	gs, err := c.capture()
+// ingest streams one run of vectors to shard s and returns the first local
+// id the shard assigned.
+func (c *RemoteCollection) ingest(s int, run []Vector) (int, error) {
+	first, _, err := c.clients[s].Ingest(run)
 	if err != nil {
-		return nil, err
+		return 0, fmt.Errorf("lshjoin: shard %d (%s): %w", s, c.clients[s].Addr(), err)
 	}
-	inner, err := buildEstimator(gs, c.family, c.sim, c.opt, algo, o)
-	if err != nil {
-		return nil, err
-	}
-	return &seeded{inner: inner, rng: xrand.New(o.seed)}, nil
-}
-
-// EstimateJoinSize estimates the join size with merged LSH-SS under the
-// paper's default parameters. Each call draws fresh randomness; use
-// Estimator for reproducible or repeated estimation.
-func (c *RemoteCollection) EstimateJoinSize(tau float64) (float64, error) {
-	est, err := c.Estimator(AlgoLSHSS)
-	if err != nil {
-		return 0, err
-	}
-	return est.Estimate(tau)
-}
-
-// EstimateJoinSizeCurve estimates the selectivity curve J(τ) for a grid of
-// thresholds from one shared merged-LSH-SS sampling pass.
-func (c *RemoteCollection) EstimateJoinSizeCurve(taus []float64) ([]float64, error) {
-	gs, err := c.capture()
-	if err != nil {
-		return nil, err
-	}
-	inner, err := core.NewMergedLSHSS(gs, c.sim)
-	if err != nil {
-		return nil, err
-	}
-	return inner.EstimateCurve(taus, xrand.New(c.nextSeed()))
+	return first, nil
 }
 
 // SearchSimilar returns ids of indexed vectors with sim(v, ·) ≥ tau among
@@ -506,36 +377,7 @@ func (c *RemoteCollection) SearchSimilar(v Vector, tau float64) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []int
-	for s := 0; s < gs.S(); s++ {
-		for _, local := range gs.Snap(s).Search(v, tau) {
-			out = append(out, int(lsh.GroupID(s, int(local))))
-		}
-	}
-	return out, nil
-}
-
-// ExactJoinSize computes the true join size over the fetched union corpus
-// (inverted-index joiner for cosine, brute force otherwise). The corpus
-// ships once per changed shard and the count runs locally.
-func (c *RemoteCollection) ExactJoinSize(tau float64) (int64, error) {
-	gs, err := c.capture()
-	if err != nil {
-		return 0, err
-	}
-	if c.opt.Measure != CosineSimilarity {
-		data := gs.Data()
-		var count int64
-		for i := range data {
-			for j := i + 1; j < len(data); j++ {
-				if c.sim(data[i], data[j]) >= tau {
-					count++
-				}
-			}
-		}
-		return count, nil
-	}
-	return exactjoin.NewJoiner(gs.Data()).CountAt(tau)
+	return search(gs, v, tau), nil
 }
 
 // VerifyShardSampling cross-checks the reconstruction of shard s: it draws
@@ -586,11 +428,4 @@ func (c *RemoteCollection) VerifyShardSampling(s, t, draws int, seed uint64) err
 		}
 		return nil
 	}
-}
-
-// nextSeed derives a fresh deterministic seed for estimator construction —
-// the same stream as ShardedCollection.nextSeed, which is what makes
-// unseeded remote estimates reproduce in-process ones call for call.
-func (c *RemoteCollection) nextSeed() uint64 {
-	return xrand.Mix2(c.opt.Seed^0xE57AB1E, c.seedCtr.Add(1))
 }

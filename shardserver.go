@@ -47,61 +47,37 @@ func NewShardServer(opt Options) (*ShardServer, error) {
 		return nil, fmt.Errorf("%w: Float32Signing is not supported on a shard server (the signing lane does not travel with snapshots)", ErrInvalidOptions)
 	}
 	s := &ShardServer{}
-	if opt.Dir == "" {
+	if opt.Dir != "" {
+		opt, err := opt.validated()
+		if err != nil {
+			return nil, err
+		}
+		opt, idx, store, err := openPlain(opt)
+		switch {
+		case err == nil:
+			s.opt, s.idx, s.store = opt, idx, store
+		case errors.Is(err, ErrNoStore): // a fresh store is created below
+		default:
+			return nil, err
+		}
+	}
+	if s.idx == nil {
 		opt, err := opt.normalized()
 		if err != nil {
 			return nil, err
 		}
-		family, _, err := familyFor(opt)
-		if err != nil {
-			return nil, err
-		}
+		family, _ := familyFor(opt)
 		idx, err := lsh.NewEmptyIndex(family, opt.K, opt.Tables)
 		if err != nil {
 			return nil, fmt.Errorf("lshjoin: %w", err)
 		}
 		s.opt, s.idx = opt, idx
-	} else {
-		opt, err := opt.validated()
-		if err != nil {
-			return nil, err
+		if opt.Dir != "" {
+			if s.store, err = persist.Create(faultfs.OS{}, opt.Dir, idx); err != nil {
+				return nil, fmt.Errorf("lshjoin: %w", err)
+			}
+			applyStorePolicy(opt, s.store)
 		}
-		idx, store, err := persist.Open(faultfs.OS{}, opt.Dir)
-		switch {
-		case err == nil:
-			spec, err := lsh.SpecOf(idx.Family())
-			if err != nil {
-				store.Close()
-				return nil, fmt.Errorf("lshjoin: %w", err)
-			}
-			opt.Shards = 0 // a plain store has no shard count to assert against
-			if opt, err = reconcile(opt, spec, idx.K(), idx.L(), 1); err != nil {
-				store.Close()
-				return nil, err
-			}
-			s.opt, s.idx, s.store = opt, idx, store
-		case errors.Is(err, ErrNoStore):
-			opt, err := opt.normalized()
-			if err != nil {
-				return nil, err
-			}
-			family, _, err := familyFor(opt)
-			if err != nil {
-				return nil, err
-			}
-			idx, err := lsh.NewEmptyIndex(family, opt.K, opt.Tables)
-			if err != nil {
-				return nil, fmt.Errorf("lshjoin: %w", err)
-			}
-			store, err := persist.Create(faultfs.OS{}, opt.Dir, idx)
-			if err != nil {
-				return nil, fmt.Errorf("lshjoin: %w", err)
-			}
-			s.opt, s.idx, s.store = opt, idx, store
-		default:
-			return nil, fmt.Errorf("lshjoin: %w", err)
-		}
-		applyStorePolicy(s.opt, s.store)
 	}
 	s.srv = shardrpc.NewServer(s.idx, shardrpc.ServerOptions{PublishEvery: s.opt.PublishEvery})
 	return s, nil
@@ -120,15 +96,8 @@ func (s *ShardServer) Close() error {
 	}
 	err := s.srv.Close()
 	if s.store != nil {
-		var cerr error
-		s.idx.PublishAndThen(func(snap *lsh.Snapshot) {
-			cerr = s.store.Checkpoint(snap)
-		})
-		if serr := s.store.Close(); cerr == nil {
-			cerr = serr
-		}
-		if cerr != nil {
-			return fmt.Errorf("lshjoin: close: %w", cerr)
+		if cerr := closeStores([]*lsh.Index{s.idx}, []*persist.Store{s.store}, nil); cerr != nil {
+			return cerr
 		}
 	}
 	return err
@@ -141,9 +110,7 @@ func (s *ShardServer) Close() error {
 // match the in-process collection's.
 func (s *ShardServer) InsertBatch(vs []Vector) int {
 	first := s.idx.InsertBatch(vs)
-	if p := s.opt.PublishEvery; p > 0 && s.idx.Pending() >= p {
-		s.idx.Snapshot()
-	}
+	s.idx.MaybePublish(s.opt.PublishEvery)
 	return first
 }
 
