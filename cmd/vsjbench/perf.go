@@ -21,10 +21,9 @@ import (
 // Perf trajectory tooling: `vsjbench -perf` times the hot paths of the LSH
 // layer (index build, per-vector signing, LSH-SS estimation, candidate
 // retrieval, snapshot publication — including per-insert publication through
-// the Fenwick weight index at two bucket counts, against an emulated eager
-// prefix-sum rebuild — mixed Estimate+Insert serving workloads, single
-// index and 4-shard, and the sharded cross-join estimate path) with
-// testing.Benchmark and writes the results as JSON.
+// the Fenwick weight index at two bucket counts — mixed Estimate+Insert
+// serving workloads, single index and 4-shard, and the sharded cross-join
+// estimate path) with testing.Benchmark and writes the results as JSON.
 // The file is committed as BENCH_lsh.json at the repo root so future changes
 // can be diffed against the recorded baseline; GOMAXPROCS is pinned by the
 // -gomaxprocs flag (default 1) before any benchmark runs, so entries are
@@ -120,12 +119,6 @@ func runPerf(outPath string) (*perfReport, error) {
 			_ = lsh.SignDigest(data, lsh.NewSimHash(uint64(i+1)), k, 8, lsh.SignConfig{PanelBytes: 4 << 20})
 		}
 	})
-	add("sign_float32_lane", func(b *testing.B) {
-		// Fused again in the float32 lane: half the cache bytes per row.
-		for i := 0; i < b.N; i++ {
-			_ = lsh.SignDigest(data, lsh.NewSimHash(uint64(i+1)), k, 8, lsh.SignConfig{Float32: true, PanelBytes: 256 << 20})
-		}
-	})
 	add("signature_simhash_k20_naive", func(b *testing.B) {
 		f := lsh.NewSimHash(7)
 		for i := 0; i < b.N; i++ {
@@ -193,34 +186,6 @@ func runPerf(outPath string) (*perfReport, error) {
 	}
 	add("publish_per_insert", perInsert(n, 17))
 	add("publish_per_insert_4x_buckets", perInsert(4*n, 19))
-	// The pre-Fenwick alternative at the larger size: publication plus an
-	// eager O(#buckets) prefix-sum rebuild per version, which is what every
-	// publish used to pay regardless of delta size.
-	add("publish_prefix_sum_rebuild_4x_buckets", func(b *testing.B) {
-		corpus := perfData(4*n, dims, nnz, 19)
-		ix, err := lsh.Build(corpus, lsh.NewSimHash(19), k, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		v := corpus[0]
-		var sink int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ix.Insert(v)
-			s := ix.Snapshot()
-			sizes := s.Table(0).BucketSizes()
-			cum := make([]int64, len(sizes))
-			var total int64
-			for j, sz := range sizes {
-				total += int64(sz) * int64(sz-1) / 2
-				cum[j] = total
-			}
-			sink += cum[len(cum)-1]
-		}
-		if sink < 0 {
-			b.Fatal("impossible")
-		}
-	})
 	// Mixed serving workload: a background writer streams single-vector
 	// inserts into a live Collection while the measured loop constructs a
 	// snapshot-bound estimator and answers one estimate per op — the
@@ -535,13 +500,12 @@ func runPerf(outPath string) (*perfReport, error) {
 
 // gatedBenchmarks names the hot paths the CI perf gate enforces: index
 // build, candidate retrieval, estimation, snapshot publication and the two
-// serving workloads. Non-gated entries (the emulated pre-Fenwick rebuild,
-// the naive signing baseline) are recorded for trajectory only.
+// serving workloads. Non-gated entries (such as the naive signing baseline)
+// are recorded for trajectory only.
 var gatedBenchmarks = []string{
 	"build_k20_l1",
 	"sign_fused_k20_l8",
 	"sign_panel_streamed",
-	"sign_float32_lane",
 	"query_k8_l4",
 	"estimate_lshss_tau08",
 	"snapshot_publish_after_insert",

@@ -177,14 +177,11 @@
 // cached in one ℓ·k-wide dimension-major panel (one vocabulary pass per
 // corpus instead of ℓ), and builds stream that panel in column blocks
 // bounded by Options.SignPanelBytes, so signing memory stays flat however
-// large the vocabulary grows. Options.Float32Signing switches the
-// projection cache and accumulators to a float32 lane — half the memory
-// bandwidth on wide corpora, at the cost of signatures that differ from
-// (but are statistically equivalent to) the float64 lane's.
+// large the vocabulary grows.
 //
 // Run `vsjbench -perf` to regenerate the BENCH_lsh.json hot-path timings
 // tracked in the repository root, including a mixed Estimate+Insert serving
-// benchmark and the fused / panel-streamed / float32 signing paths.
+// benchmark and the fused and panel-streamed signing paths.
 //
 // # Invariant checking
 //

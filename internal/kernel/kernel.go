@@ -23,5 +23,5 @@
 // in CI; kernel_test.go proves the two produce bit-identical results on
 // randomized lengths, including the NaN/Inf edge cases the engine can feed
 // through non-finite weights. Impl names the compiled-in implementation so
-// the engine can report which kernels it selected at construction.
+// benchmarks and test failures can report which kernels ran.
 package kernel

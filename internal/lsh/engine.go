@@ -10,19 +10,12 @@ import (
 )
 
 // SignConfig tunes how the batch engine signs a corpus. The zero value is
-// the default build: float64 projections, fused single-pass cache with a
-// 64 MiB panel budget — and produces signatures byte-identical to the naive
+// the default build: fused single-pass cache with a 64 MiB panel budget.
+// Every configuration produces signatures byte-identical to the naive
 // Family.Hash path.
 type SignConfig struct {
-	// Float32 switches SimHash projection caching and accumulation to the
-	// float32 lane: half the cache footprint and bandwidth, at the cost of
-	// occasional sign flips on near-orthogonal vectors (and therefore
-	// different — not worse, just different — signatures than the float64
-	// lane). MinHash and generic families ignore it (integer pipelines).
-	Float32 bool
-
 	// PanelBytes caps the resident projection cache. When the fused cache
-	// (|vocab| · ℓ·k · lane bytes) would exceed it, the engine signs in
+	// (|vocab| · ℓ·k · 8 bytes) would exceed it, the engine signs in
 	// dimension-block panels instead of one resident cache: vocabulary rows
 	// are sorted by dimension and vectors keep a cursor, so accumulation
 	// order — and output — is identical to the fused pass. 0 means the
@@ -32,14 +25,14 @@ type SignConfig struct {
 
 const defaultPanelBytes = 64 << 20
 
-// panelRows returns how many vocabulary rows fit the panel budget at the
-// given lane width.
-func (e *engine) panelRows(elemBytes int) int {
+// panelRows returns how many vocabulary rows (ℓ·k values of 8 bytes each)
+// fit the panel budget.
+func (e *engine) panelRows() int {
 	pb := e.cfg.PanelBytes
 	if pb <= 0 {
 		pb = defaultPanelBytes
 	}
-	pr := pb / (e.lk * elemBytes)
+	pr := pb / (e.lk * 8)
 	if pr < 1 {
 		pr = 1
 	}
@@ -66,14 +59,11 @@ func (e *engine) panelRows(elemBytes int) int {
 // a per-vector cursor consumes entries panel by panel, preserving the exact
 // per-lane accumulation order of the fused pass.
 //
-// The engine is an internal optimization, not a semantic change: in the
-// default float64 lane it produces keys byte-identical to the Family.Hash +
-// packKey path for every family and for both the fused and panel schedules
-// (engine_test.go enforces this), because cached rows come from the same
-// keyed streams and per-lane accumulation visits entries in the same order
-// as the naive hash. The opt-in float32 lane is the one documented
-// exception: it rounds projections to float32 and so defines its own —
-// internally consistent — signature function.
+// The engine is an internal optimization, not a semantic change: it
+// produces keys byte-identical to the Family.Hash + packKey path for every
+// family and for both the fused and panel schedules (engine_test.go enforces
+// this), because cached rows come from the same keyed streams and per-lane
+// accumulation visits entries in the same order as the naive hash.
 type engine struct {
 	fam    Family
 	k, ell int
@@ -81,23 +71,6 @@ type engine struct {
 	bits   int
 	narrow bool
 	cfg    SignConfig
-
-	// Kernels are selected once at construction (build tags pick the
-	// unrolled or purego bodies); the engine only ever calls through these.
-	f64MulAdd     func(dst, row []float64, w float64)
-	f64MulAdd2    func(dst, r1, r2 []float64, w1, w2 float64)
-	f64MulAdd4    func(dst, r1, r2, r3, r4 []float64, w1, w2, w3, w4 float64)
-	f64MulAddSet  func(dst, row []float64, w float64)
-	f64MulAdd2Set func(dst, r1, r2 []float64, w1, w2 float64)
-	f64MulAdd4Set func(dst, r1, r2, r3, r4 []float64, w1, w2, w3, w4 float64)
-	f32MulAdd     func(dst, row []float32, w float32)
-	f32MulAdd2    func(dst, r1, r2 []float32, w1, w2 float32)
-	f32MulAdd4    func(dst, r1, r2, r3, r4 []float32, w1, w2, w3, w4 float32)
-	f32MulAddSet  func(dst, row []float32, w float32)
-	f32MulAdd2Set func(dst, r1, r2 []float32, w1, w2 float32)
-	f32MulAdd4Set func(dst, r1, r2, r3, r4 []float32, w1, w2, w3, w4 float32)
-	u64Min        func(dst, row []uint64)
-	u64Min2       func(dst, r1, r2 []uint64)
 }
 
 // signatures holds per-table bucket keys for a batch of vectors: u64 in
@@ -110,27 +83,13 @@ type signatures struct {
 
 func newEngine(fam Family, k, ell int, cfg SignConfig) *engine {
 	return &engine{
-		fam:           fam,
-		k:             k,
-		ell:           ell,
-		lk:            ell * k,
-		bits:          fam.Bits(),
-		narrow:        isNarrow(k, fam.Bits()),
-		cfg:           cfg,
-		f64MulAdd:     kernel.F64MulAdd,
-		f64MulAdd2:    kernel.F64MulAdd2,
-		f64MulAdd4:    kernel.F64MulAdd4,
-		f64MulAddSet:  kernel.F64MulAddSet,
-		f64MulAdd2Set: kernel.F64MulAdd2Set,
-		f64MulAdd4Set: kernel.F64MulAdd4Set,
-		f32MulAdd:     kernel.F32MulAdd,
-		f32MulAdd2:    kernel.F32MulAdd2,
-		f32MulAdd4:    kernel.F32MulAdd4,
-		f32MulAddSet:  kernel.F32MulAddSet,
-		f32MulAdd2Set: kernel.F32MulAdd2Set,
-		f32MulAdd4Set: kernel.F32MulAdd4Set,
-		u64Min:        kernel.U64Min,
-		u64Min2:       kernel.U64Min2,
+		fam:    fam,
+		k:      k,
+		ell:    ell,
+		lk:     ell * k,
+		bits:   fam.Bits(),
+		narrow: isNarrow(k, fam.Bits()),
+		cfg:    cfg,
 	}
 }
 
@@ -229,7 +188,7 @@ func (v *vocab) release() {
 // small multiple of the batch itself). The map path is pre-sized from the
 // batch NNZ so growth never rehashes.
 func vocabulary(data []vecmath.Vector) *vocab {
-	var maxDim uint32
+	var maxDim uint64
 	total := 0
 	for _, v := range data {
 		if d := v.MaxDim(); d > maxDim {
@@ -243,7 +202,7 @@ func vocabulary(data []vecmath.Vector) *vocab {
 	voc.dims = getU32(total)[:0]
 	voc.backing = getI32(total)
 	backing := voc.backing
-	if int64(maxDim) <= 8*int64(total)+4096 && total < lutRowMax {
+	if maxDim <= 8*uint64(total)+4096 && total < lutRowMax {
 		lut := getLUT(int(maxDim))
 		defer putLUT(lut)
 		slots := lut.slots
@@ -345,7 +304,6 @@ func (v *vocab) sortByDim() {
 // key slices are never pooled (tables retain them).
 var (
 	f64Pool sync.Pool
-	f32Pool sync.Pool
 	u64Pool sync.Pool
 	i32Pool sync.Pool
 	u32Pool sync.Pool
@@ -358,14 +316,6 @@ func getF64(n int) []float64 {
 	return make([]float64, n)
 }
 func putF64(s []float64) { f64Pool.Put(&s) }
-
-func getF32(n int) []float32 {
-	if p, _ := f32Pool.Get().(*[]float32); p != nil && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]float32, n)
-}
-func putF32(s []float32) { f32Pool.Put(&s) }
 
 func getU64(n int) []uint64 {
 	if p, _ := u64Pool.Get().(*[]uint64); p != nil && cap(*p) >= n {
@@ -450,15 +400,9 @@ func parallelChunks(n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// lane constrains the SimHash projection element type: float64 (default,
-// byte-identical to the naive path) or float32 (opt-in half-width lane).
-type lane interface {
-	~float32 | ~float64
-}
-
 // packSim packs one vector's fused sign bits into every table's key slot.
 // dots holds all ℓ·k accumulators, table-major.
-func packSim[F lane](e *engine, sigs *signatures, i int, dots []F, vals []uint64) {
+func (e *engine) packSim(sigs *signatures, i int, dots []float64, vals []uint64) {
 	k := e.k
 	if sigs.narrow {
 		for t := 0; t < e.ell; t++ {
@@ -485,42 +429,6 @@ func packSim[F lane](e *engine, sigs *signatures, i int, dots []F, vals []uint64
 	}
 }
 
-// signSimHash signs the batch against a fused ℓ·k-wide hyperplane cache:
-// proj[row·ℓk + t·k + j] = a_{t·k+j}[dim(row)]. One vocabulary, one fill
-// pass, one accumulate pass for all tables. Per-lane accumulation order
-// equals the naive SimHash.Hash entry order (the paired kernel folds
-// (dst + w1·r1) + w2·r2 in exactly that association), so float64 dot
-// products — and their signs — are bit-identical to the per-vector path.
-func (e *engine) signSimHash(f SimHash, data []vecmath.Vector, sigs *signatures) {
-	voc := vocabulary(data)
-	defer voc.release()
-	streams := make([]xrand.GaussStream, e.lk)
-	for fn := range streams {
-		streams[fn] = xrand.NewGaussStream(f.seed, uint64(fn))
-	}
-	if e.cfg.Float32 {
-		signSimLane[float32](e, data, voc, streams, sigs, xrand.FillGaussRows32,
-			simKernels[float32]{e.f32MulAdd, e.f32MulAdd2, e.f32MulAdd4, e.f32MulAddSet, e.f32MulAdd2Set, e.f32MulAdd4Set},
-			getF32, putF32, e.panelRows(4))
-		return
-	}
-	signSimLane[float64](e, data, voc, streams, sigs, xrand.FillGaussRows,
-		simKernels[float64]{e.f64MulAdd, e.f64MulAdd2, e.f64MulAdd4, e.f64MulAddSet, e.f64MulAdd2Set, e.f64MulAdd4Set},
-		getF64, putF64, e.panelRows(8))
-}
-
-// simKernels bundles one lane's multiply-add kernels: fold variants
-// accumulate into dst, Set variants overwrite it on a vector's first fold so
-// accumulators never need clearing.
-type simKernels[F lane] struct {
-	mulAdd     func(dst, row []F, w F)
-	mulAdd2    func(dst, r1, r2 []F, w1, w2 F)
-	mulAdd4    func(dst, r1, r2, r3, r4 []F, w1, w2, w3, w4 F)
-	mulAddSet  func(dst, row []F, w F)
-	mulAdd2Set func(dst, r1, r2 []F, w1, w2 F)
-	mulAdd4Set func(dst, r1, r2, r3, r4 []F, w1, w2, w3, w4 F)
-}
-
 // simEmpty returns the signature of an empty vector: every dot is zero, so
 // every sign bit is 1.
 func (e *engine) simEmpty(narrow bool) (word uint64, key string) {
@@ -534,17 +442,21 @@ func (e *engine) simEmpty(narrow bool) (word uint64, key string) {
 	return 0, packKey(ones, 1)
 }
 
-// signSimLane is the lane-generic SimHash schedule: fused single-pass when
-// the whole projection cache fits the panel budget, panel-streamed
-// otherwise. Both schedules fold each vector's entries in entry order per
-// lane, so they produce identical output for a given lane type.
-func signSimLane[F lane](
-	e *engine, data []vecmath.Vector, voc *vocab, streams []xrand.GaussStream, sigs *signatures,
-	fill func(dst []F, streams []xrand.GaussStream, dims []uint32),
-	kn simKernels[F],
-	grab func(int) []F, drop func([]F),
-	panelRows int,
-) {
+// signSimHash signs the batch against a fused ℓ·k-wide hyperplane cache:
+// proj[row·ℓk + t·k + j] = a_{t·k+j}[dim(row)]. One vocabulary, one fill
+// pass, one accumulate pass for all tables — fused single-pass when the
+// whole projection cache fits the panel budget, panel-streamed otherwise.
+// Per-lane accumulation order equals the naive SimHash.Hash entry order in
+// both schedules (the paired kernels fold (dst + w1·r1) + w2·r2 in exactly
+// that association), so the dot products — and their signs — are
+// bit-identical to the per-vector path.
+func (e *engine) signSimHash(f SimHash, data []vecmath.Vector, sigs *signatures) {
+	voc := vocabulary(data)
+	defer voc.release()
+	streams := make([]xrand.GaussStream, e.lk)
+	for fn := range streams {
+		streams[fn] = xrand.NewGaussStream(f.seed, uint64(fn))
+	}
 	lk := e.lk
 	rows := len(voc.dims)
 	n := len(data)
@@ -561,15 +473,16 @@ func signSimLane[F lane](
 		}
 	}
 
+	panelRows := e.panelRows()
 	if panelRows >= rows {
 		// Fused single pass: the whole cache is resident.
-		proj := grab(rows * lk)
-		defer drop(proj)
+		proj := getF64(rows * lk)
+		defer putF64(proj)
 		parallelChunks(rows, func(lo, hi int) {
-			fill(proj[lo*lk:hi*lk], streams, voc.dims[lo:hi])
+			xrand.FillGaussRows(proj[lo*lk:hi*lk], streams, voc.dims[lo:hi])
 		})
 		parallelChunks(n, func(lo, hi int) {
-			dots := make([]F, lk)
+			dots := make([]float64, lk)
 			var vals []uint64
 			if !sigs.narrow {
 				vals = make([]uint64, e.k)
@@ -585,33 +498,33 @@ func signSimLane[F lane](
 				if len(ri) >= 4 {
 					b1, b2 := int(ri[0])*lk, int(ri[1])*lk
 					b3, b4 := int(ri[2])*lk, int(ri[3])*lk
-					kn.mulAdd4Set(dots, proj[b1:b1+lk], proj[b2:b2+lk], proj[b3:b3+lk], proj[b4:b4+lk],
-						F(es[0].Weight), F(es[1].Weight), F(es[2].Weight), F(es[3].Weight))
+					kernel.F64MulAdd4Set(dots, proj[b1:b1+lk], proj[b2:b2+lk], proj[b3:b3+lk], proj[b4:b4+lk],
+						float64(es[0].Weight), float64(es[1].Weight), float64(es[2].Weight), float64(es[3].Weight))
 					for c = 4; c+4 <= len(ri); c += 4 {
 						b1, b2 = int(ri[c])*lk, int(ri[c+1])*lk
 						b3, b4 = int(ri[c+2])*lk, int(ri[c+3])*lk
-						kn.mulAdd4(dots, proj[b1:b1+lk], proj[b2:b2+lk], proj[b3:b3+lk], proj[b4:b4+lk],
-							F(es[c].Weight), F(es[c+1].Weight), F(es[c+2].Weight), F(es[c+3].Weight))
+						kernel.F64MulAdd4(dots, proj[b1:b1+lk], proj[b2:b2+lk], proj[b3:b3+lk], proj[b4:b4+lk],
+							float64(es[c].Weight), float64(es[c+1].Weight), float64(es[c+2].Weight), float64(es[c+3].Weight))
 					}
 				}
 				if c+2 <= len(ri) {
 					b1, b2 := int(ri[c])*lk, int(ri[c+1])*lk
 					if c == 0 {
-						kn.mulAdd2Set(dots, proj[b1:b1+lk], proj[b2:b2+lk], F(es[c].Weight), F(es[c+1].Weight))
+						kernel.F64MulAdd2Set(dots, proj[b1:b1+lk], proj[b2:b2+lk], float64(es[c].Weight), float64(es[c+1].Weight))
 					} else {
-						kn.mulAdd2(dots, proj[b1:b1+lk], proj[b2:b2+lk], F(es[c].Weight), F(es[c+1].Weight))
+						kernel.F64MulAdd2(dots, proj[b1:b1+lk], proj[b2:b2+lk], float64(es[c].Weight), float64(es[c+1].Weight))
 					}
 					c += 2
 				}
 				if c < len(ri) {
 					b := int(ri[c]) * lk
 					if c == 0 {
-						kn.mulAddSet(dots, proj[b:b+lk], F(es[c].Weight))
+						kernel.F64MulAddSet(dots, proj[b:b+lk], float64(es[c].Weight))
 					} else {
-						kn.mulAdd(dots, proj[b:b+lk], F(es[c].Weight))
+						kernel.F64MulAdd(dots, proj[b:b+lk], float64(es[c].Weight))
 					}
 				}
-				packSim(e, sigs, i, dots, vals)
+				e.packSim(sigs, i, dots, vals)
 			}
 		})
 		return
@@ -623,22 +536,22 @@ func signSimLane[F lane](
 	// uses the Set kernels, so the pooled accumulator block never needs
 	// clearing.
 	voc.sortByDim()
-	dots := grab(n * lk)
-	defer drop(dots)
+	dots := getF64(n * lk)
+	defer putF64(dots)
 	cur := getI32(n)
 	defer putI32(cur)
 	for j := range cur {
 		cur[j] = 0
 	}
-	proj := grab(panelRows * lk)
-	defer drop(proj)
+	proj := getF64(panelRows * lk)
+	defer putF64(proj)
 	for r0 := 0; r0 < rows; r0 += panelRows {
 		r1 := r0 + panelRows
 		if r1 > rows {
 			r1 = rows
 		}
 		parallelChunks(r1-r0, func(lo, hi int) {
-			fill(proj[lo*lk:hi*lk], streams, voc.dims[r0+lo:r0+hi])
+			xrand.FillGaussRows(proj[lo*lk:hi*lk], streams, voc.dims[r0+lo:r0+hi])
 		})
 		lim := int32(r1)
 		parallelChunks(n, func(lo, hi int) {
@@ -654,23 +567,23 @@ func signSimLane[F lane](
 					if len(ri) >= 2 && ri[1] < lim {
 						b1 := (int(ri[0]) - r0) * lk
 						b2 := (int(ri[1]) - r0) * lk
-						kn.mulAdd2Set(d, proj[b1:b1+lk], proj[b2:b2+lk], F(es[0].Weight), F(es[1].Weight))
+						kernel.F64MulAdd2Set(d, proj[b1:b1+lk], proj[b2:b2+lk], float64(es[0].Weight), float64(es[1].Weight))
 						c = 2
 					} else {
 						b := (int(ri[0]) - r0) * lk
-						kn.mulAddSet(d, proj[b:b+lk], F(es[0].Weight))
+						kernel.F64MulAddSet(d, proj[b:b+lk], float64(es[0].Weight))
 						c = 1
 					}
 				}
 				for c+2 <= len(ri) && ri[c+1] < lim {
 					b1 := (int(ri[c]) - r0) * lk
 					b2 := (int(ri[c+1]) - r0) * lk
-					kn.mulAdd2(d, proj[b1:b1+lk], proj[b2:b2+lk], F(es[c].Weight), F(es[c+1].Weight))
+					kernel.F64MulAdd2(d, proj[b1:b1+lk], proj[b2:b2+lk], float64(es[c].Weight), float64(es[c+1].Weight))
 					c += 2
 				}
 				if c < len(ri) && ri[c] < lim {
 					b := (int(ri[c]) - r0) * lk
-					kn.mulAdd(d, proj[b:b+lk], F(es[c].Weight))
+					kernel.F64MulAdd(d, proj[b:b+lk], float64(es[c].Weight))
 					c++
 				}
 				cur[i] = int32(c)
@@ -687,30 +600,9 @@ func signSimLane[F lane](
 				storeEmpty(i)
 				continue
 			}
-			packSim(e, sigs, i, dots[i*lk:i*lk+lk], vals)
+			e.packSim(sigs, i, dots[i*lk:i*lk+lk], vals)
 		}
 	})
-}
-
-// signOne32 evaluates the float32 SimHash lane for a single vector,
-// matching the batch engine bit for bit: per function, float32 keyed-stream
-// values times float32 weights, accumulated in float32 in entry order.
-// Snapshot.hashInto routes here when the snapshot was signed in the float32
-// lane, so single-vector inserts and lookups agree with the batch build.
-func signOne32(f SimHash, base, k int, v vecmath.Vector, vals []uint64) {
-	es := v.Entries()
-	for j := 0; j < k; j++ {
-		st := xrand.NewGaussStream(f.seed, uint64(base+j))
-		var dot float32
-		for _, en := range es {
-			dot += en.Weight * float32(st.At(uint64(en.Dim)))
-		}
-		if dot >= 0 {
-			vals[j] = 1
-		} else {
-			vals[j] = 0
-		}
-	}
 }
 
 // minhashEmpty precomputes the per-table sentinel key shared by empty
@@ -787,7 +679,7 @@ func (e *engine) signMinHash(f MinHash, data []vecmath.Vector, sigs *signatures)
 		}
 	}
 
-	panelRows := e.panelRows(8)
+	panelRows := e.panelRows()
 	if panelRows >= rows {
 		rank := getU64(rows * lk)
 		defer putU64(rank)
@@ -812,11 +704,11 @@ func (e *engine) signMinHash(f MinHash, data []vecmath.Vector, sigs *signatures)
 				for ; c+2 <= len(ri); c += 2 {
 					b1 := int(ri[c]) * lk
 					b2 := int(ri[c+1]) * lk
-					e.u64Min2(best, rank[b1:b1+lk], rank[b2:b2+lk])
+					kernel.U64Min2(best, rank[b1:b1+lk], rank[b2:b2+lk])
 				}
 				if c < len(ri) {
 					b := int(ri[c]) * lk
-					e.u64Min(best, rank[b:b+lk])
+					kernel.U64Min(best, rank[b:b+lk])
 				}
 				e.packMin(f, sigs, i, best, vals)
 			}
@@ -861,12 +753,12 @@ func (e *engine) signMinHash(f MinHash, data []vecmath.Vector, sigs *signatures)
 				for c+2 <= len(ri) && ri[c+1] < lim {
 					b1 := (int(ri[c]) - r0) * lk
 					b2 := (int(ri[c+1]) - r0) * lk
-					e.u64Min2(b, rank[b1:b1+lk], rank[b2:b2+lk])
+					kernel.U64Min2(b, rank[b1:b1+lk], rank[b2:b2+lk])
 					c += 2
 				}
 				if c < len(ri) && ri[c] < lim {
 					bb := (int(ri[c]) - r0) * lk
-					e.u64Min(b, rank[bb:bb+lk])
+					kernel.U64Min(b, rank[bb:bb+lk])
 					c++
 				}
 				cur[i] = int32(c)

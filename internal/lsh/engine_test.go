@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -49,12 +50,20 @@ func engineCorpus(n int, seed uint64) []vecmath.Vector {
 	return data
 }
 
+// engineBatches returns the batches the equivalence tests sign: the corpus,
+// the corpus plus a vector on the top dimension 2³²−1 (whose dense size does
+// not fit 32 bits), and that vector alone.
+func engineBatches(data []vecmath.Vector) [][]vecmath.Vector {
+	top := vecmath.FromDims([]uint32{3, math.MaxUint32})
+	mixed := append(append([]vecmath.Vector(nil), data...), top)
+	return [][]vecmath.Vector{data, mixed, {top}}
+}
+
 // TestEngineMatchesNaive is the mandatory equivalence layer: for every
 // family and a sweep of (k, ℓ) covering both narrow (word-keyed) and wide
 // (string-keyed) tables, the engine-built index must assign every vector the
 // same canonical bucket key as the naive Family.Hash + packKey path.
 func TestEngineMatchesNaive(t *testing.T) {
-	data := engineCorpus(200, 11)
 	bitSampling, err := NewBitSampling(77, 5000)
 	if err != nil {
 		t.Fatal(err)
@@ -62,25 +71,27 @@ func TestEngineMatchesNaive(t *testing.T) {
 	families := []Family{NewSimHash(42), NewMinHash(42), bitSampling}
 	type cfg struct{ k, ell int }
 	cfgs := []cfg{{1, 1}, {2, 3}, {8, 2}, {20, 1}, {64, 1}, {70, 1}, {3, 2}}
-	for _, f := range families {
-		for _, c := range cfgs {
-			if c.k*f.Bits() > 64 && c.k > 3 && f.Bits() > 1 {
-				continue // MinHash wide already covered by k=3
-			}
-			idx, err := Build(data, f, c.k, c.ell)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := naiveKeys(data, f, c.k, c.ell)
-			for tb := 0; tb < c.ell; tb++ {
-				tab := idx.Table(tb)
-				if wantNarrow := c.k*f.Bits() <= 64; tab.Narrow() != wantNarrow {
-					t.Fatalf("%s k=%d: Narrow()=%v, want %v", f.Name(), c.k, tab.Narrow(), wantNarrow)
+	for _, data := range engineBatches(engineCorpus(200, 11)) {
+		for _, f := range families {
+			for _, c := range cfgs {
+				if c.k*f.Bits() > 64 && c.k > 3 && f.Bits() > 1 {
+					continue // MinHash wide already covered by k=3
 				}
-				for i := range data {
-					if got := tab.KeyOf(i); got != want[tb][i] {
-						t.Fatalf("%s k=%d ℓ=%d: table %d vector %d: engine key %q != naive key %q",
-							f.Name(), c.k, c.ell, tb, i, got, want[tb][i])
+				idx, err := Build(data, f, c.k, c.ell)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := naiveKeys(data, f, c.k, c.ell)
+				for tb := 0; tb < c.ell; tb++ {
+					tab := idx.Table(tb)
+					if wantNarrow := c.k*f.Bits() <= 64; tab.Narrow() != wantNarrow {
+						t.Fatalf("%s k=%d: Narrow()=%v, want %v", f.Name(), c.k, tab.Narrow(), wantNarrow)
+					}
+					for i := range data {
+						if got := tab.KeyOf(i); got != want[tb][i] {
+							t.Fatalf("%s k=%d ℓ=%d: table %d vector %d: engine key %q != naive key %q",
+								f.Name(), c.k, c.ell, tb, i, got, want[tb][i])
+						}
 					}
 				}
 			}
@@ -221,7 +232,6 @@ func TestInsertBatchMatchesNaiveInserts(t *testing.T) {
 // families, narrow and wide tables, and serial and parallel signing. Panel
 // order must not leak into signatures.
 func TestEnginePanelMatchesNaive(t *testing.T) {
-	data := engineCorpus(200, 13)
 	families := []Family{NewSimHash(42), NewMinHash(42)}
 	type cfg struct{ k, ell int }
 	cfgs := []cfg{{2, 3}, {20, 1}, {70, 1}, {3, 2}}
@@ -229,111 +239,29 @@ func TestEnginePanelMatchesNaive(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		for _, f := range families {
-			for _, c := range cfgs {
-				if c.k*f.Bits() > 64 && c.k > 3 && f.Bits() > 1 {
-					continue
-				}
-				// A few hundred bytes per panel forces hundreds of panels.
-				idx, err := BuildSigned(data, f, c.k, c.ell, SignConfig{PanelBytes: 512})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := naiveKeys(data, f, c.k, c.ell)
-				for tb := 0; tb < c.ell; tb++ {
-					tab := idx.Table(tb)
-					for i := range data {
-						if got := tab.KeyOf(i); got != want[tb][i] {
-							t.Fatalf("procs=%d %s k=%d ℓ=%d: table %d vector %d: panel key %q != naive key %q",
-								procs, f.Name(), c.k, c.ell, tb, i, got, want[tb][i])
+		for _, data := range engineBatches(engineCorpus(200, 13)) {
+			for _, f := range families {
+				for _, c := range cfgs {
+					if c.k*f.Bits() > 64 && c.k > 3 && f.Bits() > 1 {
+						continue
+					}
+					// A few hundred bytes per panel forces hundreds of panels.
+					idx, err := BuildSigned(data, f, c.k, c.ell, SignConfig{PanelBytes: 512})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := naiveKeys(data, f, c.k, c.ell)
+					for tb := 0; tb < c.ell; tb++ {
+						tab := idx.Table(tb)
+						for i := range data {
+							if got := tab.KeyOf(i); got != want[tb][i] {
+								t.Fatalf("procs=%d %s k=%d ℓ=%d: table %d vector %d: panel key %q != naive key %q",
+									procs, f.Name(), c.k, c.ell, tb, i, got, want[tb][i])
+							}
 						}
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestFloat32SigningConsistent pins the float32 lane's internal agreements:
-// the panel-streamed build must equal the fused build key for key, the batch
-// build must agree with single-vector hashing (Insert and KeyFor route
-// through signOne32), and InsertBatch must land vectors exactly where the
-// batch build would have.
-func TestFloat32SigningConsistent(t *testing.T) {
-	data := engineCorpus(240, 31)
-	f := NewSimHash(17)
-	for _, c := range []struct{ k, ell int }{{20, 1}, {12, 3}, {70, 1}} {
-		fused, err := BuildSigned(data, f, c.k, c.ell, SignConfig{Float32: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		panel, err := BuildSigned(data, f, c.k, c.ell, SignConfig{Float32: true, PanelBytes: 512})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for tb := 0; tb < c.ell; tb++ {
-			ft, pt := fused.Table(tb), panel.Table(tb)
-			for i, v := range data {
-				key := ft.KeyOf(i)
-				if pk := pt.KeyOf(i); pk != key {
-					t.Fatalf("k=%d ℓ=%d table %d vector %d: float32 panel key differs from fused", c.k, c.ell, tb, i)
-				}
-				if kf := fused.KeyFor(tb, v); kf != key {
-					t.Fatalf("k=%d ℓ=%d table %d vector %d: KeyFor %q != batch key %q", c.k, c.ell, tb, i, kf, key)
-				}
-			}
-		}
-	}
-
-	one, err := BuildSigned(data[:80], f, 6, 2, SignConfig{Float32: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := BuildSigned(data[:80], f, 6, 2, SignConfig{Float32: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range data[80:] {
-		one.Insert(v)
-	}
-	batch.InsertBatch(data[80:])
-	for tb := 0; tb < one.L(); tb++ {
-		ot, bt := one.Table(tb), batch.Table(tb)
-		for i := range data {
-			if ot.KeyOf(i) != bt.KeyOf(i) {
-				t.Fatalf("table %d vector %d: float32 batch key differs from single-insert key", tb, i)
-			}
-		}
-	}
-}
-
-// TestFloat32SignFlipRate bounds how often the float32 lane's sign decisions
-// diverge from float64: flips require a projection within float32 rounding
-// error of zero, so across thousands of (vector, function) pairs only a tiny
-// fraction may differ. A broken float32 path (wrong stream, wrong fold
-// order) flips ~50% and fails loudly.
-func TestFloat32SignFlipRate(t *testing.T) {
-	data := engineCorpus(500, 47)
-	f := NewSimHash(29)
-	const k = 20
-	vals32 := make([]uint64, k)
-	total, flips := 0, 0
-	for _, v := range data {
-		if len(v.Entries()) == 0 {
-			continue
-		}
-		signOne32(f, 0, k, v, vals32)
-		for j := 0; j < k; j++ {
-			total++
-			if vals32[j] != f.Hash(j, v) {
-				flips++
-			}
-		}
-	}
-	if total == 0 {
-		t.Fatal("empty corpus")
-	}
-	if rate := float64(flips) / float64(total); rate > 0.01 {
-		t.Fatalf("float32 sign flip rate %.4f (%d/%d), want ≤ 0.01", rate, flips, total)
 	}
 }

@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"lshjoin/internal/vecmath"
@@ -211,6 +212,67 @@ func FuzzCrossGroupNH(f *testing.F) {
 					for j := 0; j < rgs.N(); j++ {
 						if got, want := lgs.SameBucketAcrossGroups(ti, i, rgs, j), union.SameBucket(i, j); got != want {
 							t.Fatalf("sl=%d sr=%d t=%d SameBucketAcrossGroups(%d,%d)=%v union %v", sl, sr, ti, i, j, got, want)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzEngineMatchesNaive feeds arbitrary batches through the signature
+// engine and requires the naive Family.Hash keys of naiveKeys, for SimHash
+// and MinHash, fused and panel-streamed, narrow and wide. Arbitrary
+// dimensions reach both vocabulary paths (the dense lookup table and the
+// map) and the top dimension 2³²−1.
+//
+// Byte layout: data[0] picks k in [1, 70] and data[1] picks ℓ in [1, 3].
+// The rest is a stream of vectors, each a count byte (mod 16) followed by
+// that many five-byte entries: a little-endian uint32 dimension and a weight
+// byte mapped to [-4, 3]. A truncated vector ends the stream.
+func FuzzEngineMatchesNaive(f *testing.F) {
+	f.Add([]byte{19, 0, 2, 3, 0, 0, 0, 5, 0xff, 0xff, 0xff, 0xff, 5})
+	f.Add([]byte{7, 1, 1, 9, 0, 0, 0, 2, 0, 2, 3, 0, 0, 0, 5, 0xff, 0xff, 0xff, 0xff, 7})
+	f.Add([]byte{2, 2, 3, 1, 0, 0, 0, 5, 2, 0, 0, 0, 1, 7, 0, 0, 0, 6, 2, 1, 0, 0, 0, 3, 7, 0, 0, 0, 5})
+	f.Add([]byte{69, 0, 1, 0, 1, 0, 0, 5})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 2 {
+			return
+		}
+		k, ell := 1+int(in[0]%70), 1+int(in[1]%3)
+		var data []vecmath.Vector
+		for rest := in[2:]; len(rest) > 0 && len(data) < 64; {
+			n := int(rest[0] % 16)
+			rest = rest[1:]
+			if len(rest) < 5*n {
+				break
+			}
+			es := make([]vecmath.Entry, n)
+			for j := range es {
+				es[j] = vecmath.Entry{Dim: binary.LittleEndian.Uint32(rest), Weight: float32(int(rest[4]%8) - 4)}
+				rest = rest[5:]
+			}
+			v, err := vecmath.New(es)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data = append(data, v)
+		}
+		if len(data) == 0 {
+			return
+		}
+		for _, fam := range []Family{NewSimHash(42), NewMinHash(42)} {
+			want := naiveKeys(data, fam, k, ell)
+			for _, cfg := range []SignConfig{{}, {PanelBytes: 64}} {
+				idx, err := BuildSigned(data, fam, k, ell, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for tb := 0; tb < ell; tb++ {
+					for i := range data {
+						if got := idx.Table(tb).KeyOf(i); got != want[tb][i] {
+							t.Fatalf("%s k=%d ℓ=%d panel=%d: table %d vector %d: engine key %q != naive key %q",
+								fam.Name(), k, ell, cfg.PanelBytes, tb, i, got, want[tb][i])
 						}
 					}
 				}

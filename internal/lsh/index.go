@@ -82,11 +82,11 @@ func Build(data []vecmath.Vector, family Family, k, ell int) (*Index, error) {
 	return BuildSigned(data, family, k, ell, SignConfig{})
 }
 
-// BuildSigned is Build with an explicit signing configuration: the float32
-// projection lane and/or a panel budget for the projection cache (see
-// SignConfig). The zero config is exactly Build. The config is recorded on
-// every published snapshot, so single-vector hashing (KeyFor, Insert) and
-// later InsertBatch signing stay consistent with the batch build.
+// BuildSigned is Build with an explicit signing configuration: a panel
+// budget for the projection cache (see SignConfig). The zero config is
+// exactly Build, and every config signs identically. The config is recorded
+// on every published snapshot, so later InsertBatch signing keeps the same
+// budget.
 func BuildSigned(data []vecmath.Vector, family Family, k, ell int, cfg SignConfig) (*Index, error) {
 	if err := validateParams(family, k, ell); err != nil {
 		return nil, err

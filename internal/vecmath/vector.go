@@ -106,12 +106,13 @@ func (v Vector) Norm() float64 { return v.norm }
 func (v Vector) IsZero() bool { return len(v.entries) == 0 }
 
 // MaxDim returns the largest dimension index plus one (a safe dense size),
-// or 0 for the zero vector.
-func (v Vector) MaxDim() uint32 {
+// or 0 for the zero vector. The result is 64-bit because a vector on the top
+// dimension 2³²−1 has a dense size of 2³².
+func (v Vector) MaxDim() uint64 {
 	if len(v.entries) == 0 {
 		return 0
 	}
-	return v.entries[len(v.entries)-1].Dim + 1
+	return uint64(v.entries[len(v.entries)-1].Dim) + 1
 }
 
 // Weight returns the weight on dimension d (0 if absent).

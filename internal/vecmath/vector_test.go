@@ -213,6 +213,11 @@ func TestMaxDim(t *testing.T) {
 	if v.MaxDim() != 8 {
 		t.Errorf("MaxDim = %d, want 8", v.MaxDim())
 	}
+	// The top dimension's dense size is 2³², which must not wrap to 0.
+	top := mustNew([]Entry{{3, 1}, {math.MaxUint32, 1}})
+	if top.MaxDim() != 1<<32 {
+		t.Errorf("MaxDim at the top dimension = %d, want %d", top.MaxDim(), uint64(1)<<32)
+	}
 }
 
 func TestStringForm(t *testing.T) {

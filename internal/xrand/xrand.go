@@ -351,75 +351,18 @@ func FillGaussRow(dst []float64, streams []GaussStream, dim uint64) {
 }
 
 // FillGaussRows fills one row per dimension in dims: row r covers
-// dst[r*k : (r+1)*k] with streams[f].At(dims[r]), k = len(streams). It is
-// FillGaussRow hoisted over a whole panel of rows — the batch signing path
-// fills tens of thousands of consecutive rows, and moving the row loop inside
-// drops a call, prologue, and slice re-check per row from the hottest loop of
-// an index build.
+// dst[r*k : (r+1)*k] with streams[f].At(dims[r]), k = len(streams). The
+// batch signing path fills tens of thousands of consecutive rows; when the
+// vector prep kernels cover the row width it fills them in blocks
+// (fillGaussRowsPrep), otherwise it calls FillGaussRow once per row.
 func FillGaussRows(dst []float64, streams []GaussStream, dims []uint32) {
 	k := len(streams)
 	if kernel.GaussPrepSize(k) && len(dims) >= 8 {
 		fillGaussRowsPrep(dst, streams, dims)
 		return
 	}
-	const fracMask = 1<<42 - 1
-	const central = uint(invNormSlots - 2*invNormTailSlots)
 	for r, d := range dims {
-		m := uint64(d) * 0xA0761D6478BD642F
-		row := dst[r*k : r*k+k : r*k+k]
-		f := 0
-		for ; f+4 <= k; f += 4 {
-			hv1 := Mix64(streams[f].pre^m) >> 11
-			hv2 := Mix64(streams[f+1].pre^m) >> 11
-			hv3 := Mix64(streams[f+2].pre^m) >> 11
-			hv4 := Mix64(streams[f+3].pre^m) >> 11
-			b1 := hv1 >> 52 // 1 iff float64(hv)+0.5 rounds (to even)
-			b2 := hv2 >> 52
-			b3 := hv3 >> 52
-			b4 := hv4 >> 52
-			mu1 := hv1<<1 + 1 - b1 + (b1&hv1&1)<<1
-			mu2 := hv2<<1 + 1 - b2 + (b2&hv2&1)<<1
-			mu3 := hv3<<1 + 1 - b3 + (b3&hv3&1)<<1
-			mu4 := hv4<<1 + 1 - b4 + (b4&hv4&1)<<1
-			s1 := uint(mu1>>42) - invNormTailSlots
-			s2 := uint(mu2>>42) - invNormTailSlots
-			s3 := uint(mu3>>42) - invNormTailSlots
-			s4 := uint(mu4>>42) - invNormTailSlots
-			if s1 < central && s2 < central && s3 < central && s4 < central {
-				e1 := &invNormTab[s1+invNormTailSlots]
-				e2 := &invNormTab[s2+invNormTailSlots]
-				e3 := &invNormTab[s3+invNormTailSlots]
-				e4 := &invNormTab[s4+invNormTailSlots]
-				row[f] = e1[0] + float64(mu1&fracMask)*(0x1p-42)*e1[1]
-				row[f+1] = e2[0] + float64(mu2&fracMask)*(0x1p-42)*e2[1]
-				row[f+2] = e3[0] + float64(mu3&fracMask)*(0x1p-42)*e3[1]
-				row[f+3] = e4[0] + float64(mu4&fracMask)*(0x1p-42)*e4[1]
-				continue
-			}
-			for o, v := range [4]struct {
-				s  uint
-				mu uint64
-				hv uint64
-			}{{s1, mu1, hv1}, {s2, mu2, hv2}, {s3, mu3, hv3}, {s4, mu4, hv4}} {
-				if v.s < central {
-					e := &invNormTab[v.s+invNormTailSlots]
-					row[f+o] = e[0] + float64(v.mu&fracMask)*(0x1p-42)*e[1]
-				} else {
-					row[f+o] = gaussTail(v.hv)
-				}
-			}
-		}
-		for ; f < k; f++ {
-			hv := Mix64(streams[f].pre^m) >> 11
-			b := hv >> 52
-			mu := hv<<1 + 1 - b + (b&hv&1)<<1
-			if s := uint(mu>>42) - invNormTailSlots; s < central {
-				e := &invNormTab[s+invNormTailSlots]
-				row[f] = e[0] + float64(mu&fracMask)*(0x1p-42)*e[1]
-			} else {
-				row[f] = gaussTail(hv)
-			}
-		}
+		FillGaussRow(dst[r*k:r*k+k], streams, uint64(d))
 	}
 }
 
@@ -429,28 +372,6 @@ func FillGaussRows(dst []float64, streams []GaussStream, dims []uint32) {
 func gaussTail(hv uint64) float64 {
 	u := (float64(hv) + 0.5) / (1 << 53)
 	return InvNormCDF(u)
-}
-
-// FillGaussRow32 is FillGaussRow truncated to float32 — the projection
-// cache's float32 lane. Each value is float32(streams[f].At(dim)): the keyed
-// stream stays float64 end to end and only the stored component narrows.
-func FillGaussRow32(dst []float32, streams []GaussStream, dim uint64) {
-	m := dim * 0xA0761D6478BD642F
-	n := len(dst)
-	streams = streams[:n]
-	const fracMask = 1<<42 - 1
-	for f := 0; f < n; f++ {
-		hv := Mix64(streams[f].pre^m) >> 11
-		b := hv >> 52
-		mu := hv<<1 + 1 - b + (b&hv&1)<<1
-		slot := int(mu >> 42)
-		if slot < invNormTailSlots || slot >= invNormSlots-invNormTailSlots {
-			dst[f] = float32(gaussTail(hv))
-			continue
-		}
-		e := &invNormTab[slot]
-		dst[f] = float32(e[0] + float64(mu&fracMask)*(0x1p-42)*e[1])
-	}
 }
 
 // fillGaussRowsPrep is FillGaussRows split into three passes over blocks of
@@ -499,29 +420,6 @@ func fillGaussRowsPrep(dst []float64, streams []GaussStream, dims []uint32) {
 					m &= m - 1
 				}
 			}
-		}
-	}
-}
-
-// FillGaussRows32 is FillGaussRows in the float32 lane: row r covers
-// dst[r*k : (r+1)*k] with float32(streams[f].At(dims[r])).
-func FillGaussRows32(dst []float32, streams []GaussStream, dims []uint32) {
-	k := len(streams)
-	const fracMask = 1<<42 - 1
-	for r, d := range dims {
-		m := uint64(d) * 0xA0761D6478BD642F
-		row := dst[r*k : r*k+k : r*k+k]
-		for f := 0; f < k; f++ {
-			hv := Mix64(streams[f].pre^m) >> 11
-			b := hv >> 52
-			mu := hv<<1 + 1 - b + (b&hv&1)<<1
-			slot := int(mu >> 42)
-			if slot < invNormTailSlots || slot >= invNormSlots-invNormTailSlots {
-				row[f] = float32(gaussTail(hv))
-				continue
-			}
-			e := &invNormTab[slot]
-			row[f] = float32(e[0] + float64(mu&fracMask)*(0x1p-42)*e[1])
 		}
 	}
 }

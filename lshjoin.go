@@ -80,15 +80,6 @@ type Options struct {
 	// writes a checkpoint. 0 keeps the store default (4 MiB); negative is
 	// rejected. In-memory collections ignore it.
 	CheckpointBytes int
-	// Float32Signing switches cosine batch builds (and the single-vector
-	// hashing that must agree with them) to the float32 projection lane:
-	// half the signing cache footprint and memory bandwidth, at the cost of
-	// occasional sign flips on near-orthogonal projections. The resulting
-	// signatures are different — not worse — than the float64 lane's, so
-	// the flag changes bucket contents while estimator guarantees hold
-	// unchanged. Jaccard collections ignore it (MinHash is an integer
-	// pipeline), and durable collections (Dir set) reject it for now.
-	Float32Signing bool
 	// SignPanelBytes caps the resident projection cache of a batch build.
 	// When the fused dimension-major cache would exceed the budget, signing
 	// streams the vocabulary in dimension-block panels and produces output

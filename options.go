@@ -57,14 +57,11 @@ func (o Options) validated() (Options, error) {
 	if o.CheckpointBytes < 0 {
 		return o, fmt.Errorf("%w: CheckpointBytes = %d is negative", ErrInvalidOptions, o.CheckpointBytes)
 	}
-	if o.Float32Signing && o.Dir != "" {
-		return o, fmt.Errorf("%w: Float32Signing is not supported with durable storage (Dir): the store does not persist the signing lane yet", ErrInvalidOptions)
-	}
 	return o, nil
 }
 
 // signConfig translates the public signing knobs into the internal batch
 // engine configuration.
 func (o Options) signConfig() lsh.SignConfig {
-	return lsh.SignConfig{Float32: o.Float32Signing, PanelBytes: o.SignPanelBytes}
+	return lsh.SignConfig{PanelBytes: o.SignPanelBytes}
 }

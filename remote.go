@@ -99,10 +99,9 @@ type RemoteCollection struct {
 // follow the adopt-or-assert rule of Open: hashing fields (K, Tables, Seed,
 // Measure) left zero adopt the servers' values, non-zero fields are
 // assertions that must match every server (ErrInvalidOptions otherwise).
-// Shards, if set, must equal len(addrs). Dir and Float32Signing are
-// rejected — a remote collection has no local store, and the float32
-// signing lane does not travel with snapshots. All servers must share one
-// hashing identity; a mismatch reports ErrInvalidOptions naming the shard.
+// Shards, if set, must equal len(addrs). Dir is rejected — a remote
+// collection has no local store. All servers must share one hashing
+// identity; a mismatch reports ErrInvalidOptions naming the shard.
 func Connect(addrs []string, opt Options, ropts ...RemoteOption) (*RemoteCollection, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("%w: Connect needs at least one shard address", ErrInvalidOptions)
@@ -119,9 +118,6 @@ func Connect(addrs []string, opt Options, ropts ...RemoteOption) (*RemoteCollect
 	}
 	if opt.Dir != "" {
 		return nil, fmt.Errorf("%w: Dir is not supported on a remote collection (durability lives on the shard servers)", ErrInvalidOptions)
-	}
-	if opt.Float32Signing {
-		return nil, fmt.Errorf("%w: Float32Signing is not supported on a remote collection (the signing lane does not travel with snapshots)", ErrInvalidOptions)
 	}
 	if opt.Shards != 0 && opt.Shards != len(addrs) {
 		return nil, fmt.Errorf("%w: Shards = %d but %d shard addresses were given", ErrInvalidOptions, opt.Shards, len(addrs))

@@ -3,7 +3,9 @@ package lshjoin
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -258,9 +260,6 @@ func TestConnectValidation(t *testing.T) {
 	if _, err := Connect(addrs, Options{Dir: t.TempDir()}); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("Dir accepted: %v", err)
 	}
-	if _, err := Connect(addrs, Options{Float32Signing: true}); !errors.Is(err, ErrInvalidOptions) {
-		t.Errorf("Float32Signing accepted: %v", err)
-	}
 	if _, err := Connect(addrs, Options{Shards: 3}); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("shard-count mismatch accepted: %v", err)
 	}
@@ -453,9 +452,6 @@ func TestNewShardServerValidation(t *testing.T) {
 	if _, err := NewShardServer(Options{Shards: 2}); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("Shards=2 accepted: %v", err)
 	}
-	if _, err := NewShardServer(Options{Float32Signing: true}); !errors.Is(err, ErrInvalidOptions) {
-		t.Errorf("Float32Signing accepted: %v", err)
-	}
 	// Reopening asserts against the stored identity.
 	dir := t.TempDir()
 	srv, err := NewShardServer(Options{K: 6, Seed: 5, Dir: dir})
@@ -467,5 +463,34 @@ func TestNewShardServerValidation(t *testing.T) {
 	}
 	if _, err := NewShardServer(Options{K: 9, Dir: dir}); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("conflicting K accepted on reopen: %v", err)
+	}
+}
+
+// A vector on the top dimension 2³²−1 travels the batch signing path of a
+// shard server's ingest handler. For both measures the batch must be
+// accepted, the server must keep answering, and search must find the vector.
+func TestRemoteInsertBatchTopDimension(t *testing.T) {
+	top := BinaryVector([]uint32{3, math.MaxUint32})
+	for _, m := range []Measure{CosineSimilarity, JaccardSimilarity} {
+		opt := Options{K: 6, Tables: 2, Seed: 5, Measure: m}
+		rem, err := Connect(startShardServers(t, 1, opt), opt, fastRemote()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rem.Close()
+		ids, err := rem.InsertBatch([]Vector{top})
+		if err != nil {
+			t.Fatalf("measure %d: InsertBatch: %v", m, err)
+		}
+		if n, err := rem.N(); err != nil || n != 1 {
+			t.Fatalf("measure %d: N = %d, %v after the batch; want 1, nil", m, n, err)
+		}
+		got, err := rem.SearchSimilar(top, 0.99)
+		if err != nil {
+			t.Fatalf("measure %d: SearchSimilar: %v", m, err)
+		}
+		if !slices.Contains(got, ids[0]) {
+			t.Fatalf("measure %d: SearchSimilar = %v, want it to contain %d", m, got, ids[0])
+		}
 	}
 }

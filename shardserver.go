@@ -37,14 +37,10 @@ type ShardServer struct {
 // fresh in-memory index; with Dir set, an existing store is recovered
 // (adopt-or-assert on the hashing fields) or a fresh one created.
 // Shards, if set, must be 1 — one server owns one shard; run S processes
-// for S shards. Float32Signing is rejected: the signing lane travels with
-// neither snapshots nor stores. Call Serve to accept connections.
+// for S shards. Call Serve to accept connections.
 func NewShardServer(opt Options) (*ShardServer, error) {
 	if opt.Shards > 1 {
 		return nil, fmt.Errorf("%w: Shards = %d, but a shard server owns exactly one shard (run one server per shard)", ErrInvalidOptions, opt.Shards)
-	}
-	if opt.Float32Signing {
-		return nil, fmt.Errorf("%w: Float32Signing is not supported on a shard server (the signing lane does not travel with snapshots)", ErrInvalidOptions)
 	}
 	s := &ShardServer{}
 	if opt.Dir != "" {
