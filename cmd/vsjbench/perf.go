@@ -82,6 +82,13 @@ func runPerf(outPath string) (*perfReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	// est's stratum holds a few pairs, far fewer than its m_H = n draws,
+	// so SampleH scores it flat; est8's (k = 8) holds about ten times m_H,
+	// so its draws descend the weight tree.
+	est8, err := core.NewLSHSS(idx.Snapshot(), nil)
+	if err != nil {
+		return nil, err
+	}
 
 	report := perfReport{
 		GoVersion:  runtime.Version(),
@@ -131,6 +138,14 @@ func runPerf(outPath string) (*perfReport, error) {
 		rng := xrand.New(11)
 		for i := 0; i < b.N; i++ {
 			if _, err := est.Estimate(0.8, rng); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	add("estimate_lshss_k8_tau08", func(b *testing.B) {
+		rng := xrand.New(11)
+		for i := 0; i < b.N; i++ {
+			if _, err := est8.Estimate(0.8, rng); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -165,7 +165,11 @@
 // order, byte-identical to a serial build at any GOMAXPROCS. Estimator
 // sampling (LSH-SS's SampleH and SampleL, and the multi-table median) fans
 // out across deterministic RNG-split shards, so estimates are bit-for-bit
-// reproducible for a given seed at any GOMAXPROCS.
+// reproducible for a given seed at any GOMAXPROCS. When a table's stratum H
+// holds at most half as many pairs as SampleH draws (m_H ≥ 2·N_H, the usual
+// case at the default m_H = n), SampleH scores each of its pairs once per
+// estimate and the draws read the stored results; the draws themselves do
+// not change and the similarity is symmetric, so neither do the estimates.
 //
 // The signing inner loops are vectorized on amd64: AVX2 multiply-add
 // kernels accumulate four projection rows per pass, and the keyed gaussian

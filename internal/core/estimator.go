@@ -18,6 +18,10 @@ import (
 
 // SimFunc measures the similarity of two vectors; the VSJ problem uses
 // cosine (vecmath.Cosine), the SSJ problem Jaccard (vecmath.Jaccard).
+// It must be symmetric bit for bit: sim(u, v) and sim(v, u) return the same
+// float64. LSH-SS's SampleH may score an unordered pair once and reuse the
+// result whichever order a draw names it in, so an asymmetric function
+// would make estimates depend on which path SampleH took.
 type SimFunc func(u, v vecmath.Vector) float64
 
 // Estimator estimates the self-join size J(τ) = |{(u,v): sim(u,v) ≥ τ}| of a

@@ -60,7 +60,8 @@ func (s sliceView) At(i int) vecmath.Vector { return s[i] }
 // LSHSS is Algorithm 1 of the paper: stratified sampling over the two strata
 // induced by one LSH table. SampleH draws m_H uniform pairs from stratum H
 // (co-bucketed pairs, each drawn by an O(log #buckets) descent of the
-// table's persistent Fenwick weight index) and scales by N_H/m_H;
+// table's persistent Fenwick weight index, or read from a flat view of the
+// stratum built for the estimate when m_H ≥ 2·N_H) and scales by N_H/m_H;
 // SampleL runs Lipton-style adaptive sampling over stratum L, scaling up
 // only when it observed at least δ true pairs and otherwise returning a safe
 // lower bound (or a dampened scale-up). The final estimate is Ĵ = Ĵ_H + Ĵ_L.
@@ -210,16 +211,30 @@ func (e *LSHSS) EstimateDetailed(tau float64, rng *xrand.RNG) (Detail, error) {
 }
 
 // sampleH is procedure SampleH: m_H uniform pairs from stratum H, scaled by
-// N_H/m_H. The m_H draws are independent, so they fan out across
-// deterministic shards (see parallel.go), each on its own split RNG stream;
-// summing per-shard hit counts in shard order reproduces the same estimate
-// for any GOMAXPROCS.
+// N_H/m_H. When the budget covers a single table's stratum at least twice
+// over (flatCover), the pairs are scored once up front (flatH) and each
+// draw reads its pair's hit bit; otherwise each draw descends the weight
+// tree and computes a fresh similarity. Both make the same draws.
 func (e *LSHSS) sampleH(tau float64, rng *xrand.RNG) Detail {
-	var d Detail
 	nh := e.strat.NH()
 	if nh == 0 {
-		return d // empty stratum contributes nothing
+		return Detail{} // empty stratum contributes nothing
 	}
+	if src, ok := e.flatSource(); ok {
+		return e.drawH(nh, rng, newFlatH(src, nh, tau, e.sim, e.view).draw)
+	}
+	return e.drawH(nh, rng, func(r *xrand.RNG) bool {
+		i, j, _ := e.strat.SamplePair(r) // ok: N_H > 0
+		return e.sim(e.view.At(i), e.view.At(j)) >= tau
+	})
+}
+
+// drawH makes SampleH's m_H draws and scales the hits by N_H/m_H. The
+// draws are independent, so they fan out across deterministic shards (see
+// parallel.go), each on its own split RNG stream; summing per-shard hit
+// counts in shard order reproduces the same estimate for any GOMAXPROCS.
+func (e *LSHSS) drawH(nh int64, rng *xrand.RNG, hit func(r *xrand.RNG) bool) Detail {
+	var d Detail
 	shards := sampleShards(e.mH)
 	rngs := rng.SplitN(shards)
 	hits := make([]int, shards)
@@ -228,11 +243,7 @@ func (e *LSHSS) sampleH(tau float64, rng *xrand.RNG) Detail {
 		q := shardQuota(e.mH, shards, s)
 		h := 0
 		for x := 0; x < q; x++ {
-			i, j, ok := e.strat.SamplePair(r)
-			if !ok {
-				break
-			}
-			if e.sim(e.view.At(i), e.view.At(j)) >= tau {
+			if hit(r) {
 				h++
 			}
 		}
@@ -243,6 +254,101 @@ func (e *LSHSS) sampleH(tau float64, rng *xrand.RNG) Detail {
 	}
 	d.JH = float64(d.HitsH) * float64(nh) / float64(e.mH)
 	return d
+}
+
+// pairBuckets is a stratum that lists its multi-member buckets in
+// weight-index order with their cumulative pair weights, as one
+// *lsh.Table does. Merged strata do not: their draws first pick a
+// component.
+type pairBuckets interface {
+	ForEachPairBucket(fn func(cum int64, ids []int32) bool)
+}
+
+// flatCover is the coverage m_H/N_H from which SampleH scores stratum H
+// flat. The flat view costs one walk of the weight tree and N_H
+// similarities before the first draw. In BenchmarkSampleH the descent,
+// which scores only the pairs it draws, was faster at coverage 1 on the
+// paper-default stratum, and the flat path was no slower from 2 on.
+const flatCover = 2
+
+// flatSource reports whether SampleH takes the flat path, and its source.
+func (e *LSHSS) flatSource() (pairBuckets, bool) {
+	src, ok := e.strat.(pairBuckets)
+	return src, ok && int64(e.mH) >= flatCover*e.strat.NH()
+}
+
+// flatH is stratum H of one table laid out for a single estimate: the
+// multi-member buckets in weight-index order, the bucket of every pair
+// index, and one hit bit per pair. A draw makes Table.SamplePair's RNG
+// calls — Uint64n(N_H), then Intn(b) and Intn(b−1) within the bucket — and
+// looks up the bucket holding pair x, which is the bucket the weight-tree
+// descent picks for x. Each unordered pair is scored once, as
+// sim(ids[p], ids[q]) with p < q; a draw of (ids[q], ids[p]) reads the same
+// bit, which is exact because SimFunc is bit-symmetric. So the flat path's
+// estimates equal the descent's bit for bit.
+type flatH struct {
+	first []int64   // first[j]: pair index of bucket j's first pair
+	ids   [][]int32 // ids[j]: bucket j's members
+	owner []int32   // owner[x]: the bucket holding pair x
+	hit   []bool    // pair (ids[j][p], ids[j][q]), p < q, at first[j] + q(q−1)/2 + p
+}
+
+// newFlatH lists src's multi-member buckets and scores their nh pairs at
+// tau, fanned out over runs of buckets of roughly equal pair weight.
+func newFlatH(src pairBuckets, nh int64, tau float64, sim SimFunc, view dataView) *flatH {
+	f := &flatH{
+		first: make([]int64, 0, nh), // every listed bucket holds a pair
+		ids:   make([][]int32, 0, nh),
+		owner: make([]int32, nh),
+		hit:   make([]bool, nh),
+	}
+	var next int64
+	src.ForEachPairBucket(func(cum int64, ids []int32) bool {
+		j := int32(len(f.ids))
+		for x := next; x < cum; x++ {
+			f.owner[x] = j
+		}
+		f.first = append(f.first, next)
+		f.ids = append(f.ids, ids)
+		next = cum
+		return true
+	})
+	// Scoring shard s starts at the bucket holding pair s·nh/shards; any
+	// split gives the same bits.
+	shards := sampleShards(int(nh))
+	start := func(s int) int {
+		if s == shards {
+			return len(f.ids)
+		}
+		return int(f.owner[int64(s)*nh/int64(shards)])
+	}
+	runShards(shards, func(s int) {
+		for j := start(s); j < start(s+1); j++ {
+			ids, off := f.ids[j], f.first[j]
+			for q := 1; q < len(ids); q++ {
+				vq := view.At(int(ids[q]))
+				for p := 0; p < q; p++ {
+					f.hit[off+int64(p)] = sim(view.At(int(ids[p])), vq) >= tau
+				}
+				off += int64(q)
+			}
+		}
+	})
+	return f
+}
+
+// draw makes one SampleH draw and returns whether its pair is a hit.
+func (f *flatH) draw(r *xrand.RNG) bool {
+	j := f.owner[r.Uint64n(uint64(len(f.owner)))]
+	b := len(f.ids[j])
+	p := r.Intn(b)
+	q := r.Intn(b - 1)
+	if q >= p {
+		q++
+	} else {
+		p, q = q, p
+	}
+	return f.hit[f.first[j]+int64(q*(q-1)/2+p)]
 }
 
 // lShard records one shard's slice of the adaptive sampling stream: which of

@@ -217,3 +217,23 @@ func (f *fenwick) walk(fn func(i int, b *bucket) bool) {
 	}
 	rec(f.root, 0, f.span)
 }
+
+// walkWeighted visits the buckets of positive pair weight in index order,
+// passing each with the cumulative weight through it (prefix of its index).
+// It never enters a zero-weight subtree, so it touches only the root paths
+// of those buckets. It stops early when fn returns false.
+func (f *fenwick) walkWeighted(fn func(cum int64, b *bucket) bool) {
+	var cum int64
+	var rec func(n *wnode, sp int) bool
+	rec = func(n *wnode, sp int) bool {
+		if wsum(n) == 0 {
+			return true
+		}
+		if sp == 1 {
+			cum += n.sum
+			return fn(cum, n.b)
+		}
+		return rec(n.l, sp/2) && rec(n.r, sp/2)
+	}
+	rec(f.root, f.span)
+}

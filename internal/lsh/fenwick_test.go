@@ -81,6 +81,27 @@ func checkAgainstOracle(t *testing.T, f *fenwick, o *fenwickOracle) {
 	if visited != len(o.sizes) {
 		t.Fatalf("walk visited %d buckets, want %d", visited, len(o.sizes))
 	}
+	// The pruned walk lists exactly the positive-weight buckets, in order,
+	// each with its prefix sum.
+	next := 0
+	f.walkWeighted(func(cum int64, b *bucket) bool {
+		for next < len(o.sizes) && o.sizes[next] < 2 {
+			next++
+		}
+		if next == len(o.sizes) {
+			t.Fatalf("walkWeighted visited a bucket past the last weighted one")
+		}
+		if b != f.at(next) || cum != o.prefix(next) {
+			t.Fatalf("walkWeighted: bucket of size %d with cum %d, want index %d (cum %d)", len(b.ids), cum, next, o.prefix(next))
+		}
+		next++
+		return true
+	})
+	for ; next < len(o.sizes); next++ {
+		if o.sizes[next] >= 2 {
+			t.Fatalf("walkWeighted skipped weighted index %d", next)
+		}
+	}
 	if tot := f.total(); tot > 0 {
 		// Probe the descent at stratum boundaries and interior points.
 		xs := []int64{0, tot - 1, tot / 2, tot / 3, 2 * tot / 3}

@@ -3,6 +3,7 @@ package persist
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"lshjoin/internal/faultfs"
@@ -207,11 +208,16 @@ func TestCrashConsistencyProperty(t *testing.T) {
 }
 
 // bgCrashWorkload mirrors crashWorkload with a 1-byte checkpoint threshold
-// and per-insert publication, so every publish switches to a fresh delta log
-// and hands its snapshot to the background checkpointer — injected faults
-// land inside log switches, background snapshot commits and sealed-log
-// cleanup, not just the publish path. Close drains the checkpointer, so the
-// crash always interrupts media state, never an in-flight goroutine.
+// and per-insert publication, so publishes switch to a fresh delta log and
+// hand their snapshot to the background checkpointer — injected faults land
+// inside log switches, background snapshot commits and sealed-log cleanup,
+// not just the publish path. The workload paces the checkpointer so that
+// the filesystem op sequence, and with it every injection point of the
+// sweep, is the same on each run: a commit finishes before the next insert,
+// except that every third one is held back (ckptMu) until one more publish
+// has been appended to the live log, so commits that land behind newer log
+// records are swept too. Close drains the checkpointer, so the crash always
+// interrupts media state, never an in-flight goroutine.
 func bgCrashWorkload(data []vecmath.Vector, fsys faultfs.FS, record map[uint64]*lsh.Snapshot, abortOnErr bool) (floor uint64, created bool) {
 	idx, err := lsh.Build(data[:crashInitial], crashFamily(), crashK, crashEll)
 	if err != nil {
@@ -225,19 +231,49 @@ func bgCrashWorkload(data []vecmath.Vector, fsys faultfs.FS, record map[uint64]*
 	if record != nil {
 		record[idx.Current().Version()] = idx.Current()
 	}
+	held := false // ckptMu is held: the signaled commit waits for one more publish
 	for i := crashInitial; i < crashTotal; i++ {
+		stall := (i-crashInitial)%3 == 0
+		if stall {
+			st.ckptMu.Lock()
+		}
 		idx.Insert(data[i])
 		s := idx.Snapshot()
 		if record != nil {
 			record[s.Version()] = s
 		}
+		if held {
+			st.ckptMu.Unlock()
+		}
+		if held = stall; !held {
+			awaitCheckpointer(st)
+		}
 		if abortOnErr && st.Err() != nil {
 			break
 		}
 	}
+	if held {
+		st.ckptMu.Unlock()
+	}
 	floor = st.DurableVersion()
 	st.Close()
 	return floor, true
+}
+
+// awaitCheckpointer returns once no background checkpoint is signaled or
+// running. The checkpointer encodes before it takes ckptMu and touches the
+// filesystem only after, so the publish path and the commit never interleave
+// their filesystem ops under the pacing of bgCrashWorkload.
+func awaitCheckpointer(st *Store) {
+	for {
+		st.mu.Lock()
+		busy := st.rotating
+		st.mu.Unlock()
+		if !busy {
+			return
+		}
+		runtime.Gosched()
+	}
 }
 
 // TestCrashConsistencyBackgroundCheckpoint is the rotation-heavy sweep: the

@@ -253,12 +253,22 @@ func (t *Table) SamplePair(rng *xrand.RNG) (i, j int, ok bool) {
 	return int(ids[a]), int(ids[b]), true
 }
 
+// ForEachPairBucket calls fn, in bucket order, for every bucket of at least
+// two members — the buckets that hold stratum H — with cum the cumulative
+// pair weight Σ C(b_j, 2) through that bucket (its CumWeight). The walk
+// skips the weight tree's zero-weight subtrees, so its cost follows the
+// number of such buckets, not #buckets. SamplePair's descent picks, for
+// x ∈ [0, N_H), the listed bucket with the smallest cum > x. It stops early
+// if fn returns false; callers must not modify ids.
+func (t *Table) ForEachPairBucket(fn func(cum int64, ids []int32) bool) {
+	t.w.walkWeighted(func(cum int64, b *bucket) bool { return fn(cum, b.ids) })
+}
+
 // ForEachIntraPair calls fn for every unordered pair (i, j), i < j, sharing a
 // bucket. It stops early if fn returns false. This exact enumeration costs
 // Θ(N_H) and backs the probability tables of the evaluation (Tables 1–2).
 func (t *Table) ForEachIntraPair(fn func(i, j int32) bool) {
-	t.w.walk(func(_ int, b *bucket) bool {
-		ids := b.ids
+	t.ForEachPairBucket(func(_ int64, ids []int32) bool {
 		for x := 0; x < len(ids); x++ {
 			for y := x + 1; y < len(ids); y++ {
 				if !fn(ids[x], ids[y]) {

@@ -1,7 +1,7 @@
 // Package sample provides the sampling primitives shared by the join-size
 // estimators: uniform random pairs, rejection sampling into stratum L,
 // Lipton-style adaptive sampling (the SampleL subroutine of Algorithm 1),
-// alias-method weighted sampling, and without-replacement subset selection.
+// and without-replacement subset selection.
 package sample
 
 import (
@@ -94,77 +94,3 @@ func WithoutReplacement(rng *xrand.RNG, n, m int) ([]int, error) {
 	}
 	return out, nil
 }
-
-// Alias is Walker's alias method: O(n) construction, O(1) sampling from an
-// arbitrary discrete distribution. Used where many draws amortize the setup
-// (topic mixtures in the corpus generator, bucket sampling alternatives).
-type Alias struct {
-	prob  []float64
-	alias []int
-}
-
-// NewAlias builds an alias table for the given non-negative weights. At
-// least one weight must be positive.
-func NewAlias(weights []float64) (*Alias, error) {
-	n := len(weights)
-	if n == 0 {
-		return nil, fmt.Errorf("sample: empty weight vector")
-	}
-	var sum float64
-	for i, w := range weights {
-		if w < 0 {
-			return nil, fmt.Errorf("sample: negative weight %v at %d", w, i)
-		}
-		sum += w
-	}
-	if sum <= 0 {
-		return nil, fmt.Errorf("sample: all weights zero")
-	}
-	a := &Alias{prob: make([]float64, n), alias: make([]int, n)}
-	scaled := make([]float64, n)
-	small := make([]int, 0, n)
-	large := make([]int, 0, n)
-	for i, w := range weights {
-		scaled[i] = w * float64(n) / sum
-		if scaled[i] < 1 {
-			small = append(small, i)
-		} else {
-			large = append(large, i)
-		}
-	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		large = large[:len(large)-1]
-		a.prob[s] = scaled[s]
-		a.alias[s] = l
-		scaled[l] -= 1 - scaled[s]
-		if scaled[l] < 1 {
-			small = append(small, l)
-		} else {
-			large = append(large, l)
-		}
-	}
-	for _, i := range large {
-		a.prob[i] = 1
-		a.alias[i] = i
-	}
-	for _, i := range small {
-		a.prob[i] = 1
-		a.alias[i] = i
-	}
-	return a, nil
-}
-
-// Sample draws one index with probability proportional to its weight.
-func (a *Alias) Sample(rng *xrand.RNG) int {
-	i := rng.Intn(len(a.prob))
-	if rng.Float64() < a.prob[i] {
-		return i
-	}
-	return a.alias[i]
-}
-
-// N returns the number of outcomes.
-func (a *Alias) N() int { return len(a.prob) }

@@ -3,7 +3,6 @@ package sample
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"lshjoin/internal/xrand"
 )
@@ -158,83 +157,5 @@ func TestWithoutReplacementUniform(t *testing.T) {
 		if math.Abs(float64(c)-want) > 6*math.Sqrt(want) {
 			t.Errorf("index %d selected %d times, want ~%.0f", i, c, want)
 		}
-	}
-}
-
-func TestAliasValidation(t *testing.T) {
-	if _, err := NewAlias(nil); err == nil {
-		t.Error("empty weights accepted")
-	}
-	if _, err := NewAlias([]float64{0, 0}); err == nil {
-		t.Error("all-zero weights accepted")
-	}
-	if _, err := NewAlias([]float64{1, -1}); err == nil {
-		t.Error("negative weight accepted")
-	}
-}
-
-func TestAliasMatchesWeights(t *testing.T) {
-	weights := []float64{1, 0, 3, 6}
-	a, err := NewAlias(weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := xrand.New(13)
-	const draws = 200000
-	counts := make([]int, len(weights))
-	for i := 0; i < draws; i++ {
-		counts[a.Sample(rng)]++
-	}
-	var sum float64
-	for _, w := range weights {
-		sum += w
-	}
-	for i, w := range weights {
-		want := w / sum * draws
-		if w == 0 {
-			if counts[i] != 0 {
-				t.Errorf("zero-weight outcome %d sampled %d times", i, counts[i])
-			}
-			continue
-		}
-		if math.Abs(float64(counts[i])-want) > 6*math.Sqrt(want) {
-			t.Errorf("outcome %d: %d draws, want ~%.0f", i, counts[i], want)
-		}
-	}
-}
-
-func TestAliasPropNormalization(t *testing.T) {
-	// Property: construction succeeds for any positive weight vector and
-	// sampling stays in range.
-	f := func(raw []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		weights := make([]float64, len(raw))
-		any := false
-		for i, r := range raw {
-			weights[i] = float64(r)
-			if r > 0 {
-				any = true
-			}
-		}
-		if !any {
-			return true
-		}
-		a, err := NewAlias(weights)
-		if err != nil {
-			return false
-		}
-		rng := xrand.New(99)
-		for i := 0; i < 100; i++ {
-			v := a.Sample(rng)
-			if v < 0 || v >= a.N() || weights[v] == 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -2,6 +2,7 @@ package vecmath
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -75,11 +76,40 @@ func TestDotBasic(t *testing.T) {
 	}
 }
 
+// TestDotSymmetric: Dot, Cosine and Jaccard return the same bits in both
+// argument orders, which lets an estimator score an unordered pair once
+// (core.SimFunc). Besides a hand-made pair, the inputs are random vectors
+// with negative weights, at equal lengths (the merge) and at length ratios
+// past the ×8 cut-off (the gallop).
 func TestDotSymmetric(t *testing.T) {
-	u := mustNew([]Entry{{0, 1.5}, {3, -2}, {100, 0.25}})
-	v := mustNew([]Entry{{3, 4}, {100, 8}})
-	if Dot(u, v) != Dot(v, u) {
-		t.Errorf("Dot not symmetric: %v vs %v", Dot(u, v), Dot(v, u))
+	pairs := [][2]Vector{{
+		mustNew([]Entry{{0, 1.5}, {3, -2}, {100, 0.25}}),
+		mustNew([]Entry{{3, 4}, {100, 8}}),
+	}}
+	r := rand.New(rand.NewSource(78))
+	randVec := func(nnz, span int) Vector {
+		es := make([]Entry, nnz)
+		for i, d := range r.Perm(span)[:nnz] {
+			es[i] = Entry{Dim: uint32(d), Weight: float32(3 * r.NormFloat64())}
+		}
+		return mustNew(es)
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + r.Intn(12)
+		pairs = append(pairs,
+			[2]Vector{randVec(n, 3*n), randVec(n, 3*n)},
+			[2]Vector{randVec(n, 20*n), randVec(9*n+r.Intn(8*n), 20*n)})
+	}
+	for _, p := range pairs {
+		u, v := p[0], p[1]
+		for _, f := range []struct {
+			name string
+			fn   func(u, v Vector) float64
+		}{{"Dot", Dot}, {"Cosine", Cosine}, {"Jaccard", Jaccard}} {
+			if a, b := f.fn(u, v), f.fn(v, u); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s not bit-symmetric: %v vs %v for %v, %v", f.name, a, b, u, v)
+			}
+		}
 	}
 }
 

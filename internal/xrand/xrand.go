@@ -126,14 +126,16 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return r.Uint64() & (n - 1)
 	}
-	// Lemire multiply-shift rejection.
-	thresh := -n % n // (2^64 - n) % n
-	for {
-		hi, lo := bits.Mul64(r.Uint64(), n)
-		if lo >= thresh {
-			return hi
+	// Lemire multiply-shift rejection. The threshold (2^64 − n) % n is below
+	// n, so a low word ≥ n is accepted without computing it.
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
+	return hi
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 random bits.

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -59,6 +60,40 @@ func TestUint64nBounds(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			if v := r.Uint64n(n); v >= n {
 				t.Fatalf("Uint64n(%d) = %d out of range", n, v)
+			}
+		}
+	}
+}
+
+// refUint64n is Uint64n with the rejection threshold computed on every
+// call, the textbook form of Lemire's method.
+func refUint64n(r *RNG, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
+	}
+	thresh := -n % n
+	for {
+		hi, lo := bits.Mul64(r.Uint64(), n)
+		if lo >= thresh {
+			return hi
+		}
+	}
+}
+
+// TestUint64nMatchesReference: computing the threshold only when the low
+// word is below n changes neither the values nor the number of words drawn.
+// At n = 2⁶³+1 about half the draws reject.
+func TestUint64nMatchesReference(t *testing.T) {
+	for _, n := range []uint64{1, 2, 3, 5, 1000, 1<<32 + 1, 1<<63 - 1, 1<<63 + 1, math.MaxUint64} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			got, want := New(seed), New(seed)
+			for i := 0; i < 2000; i++ {
+				if g, w := got.Uint64n(n), refUint64n(want, n); g != w {
+					t.Fatalf("n=%d seed=%d draw %d: Uint64n = %d, reference %d", n, seed, i, g, w)
+				}
+			}
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("n=%d seed=%d: next Uint64 %d, reference %d: words drawn differ", n, seed, g, w)
 			}
 		}
 	}
