@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"net"
 	"os"
 	"runtime"
 	"strings"
@@ -22,8 +23,9 @@ import (
 // layer (index build, per-vector signing, LSH-SS estimation, candidate
 // retrieval, snapshot publication — including per-insert publication through
 // the Fenwick weight index at two bucket counts — mixed Estimate+Insert
-// serving workloads, single index and 4-shard, and the sharded cross-join
-// estimate path) with testing.Benchmark and writes the results as JSON.
+// serving workloads, single index and 4-shard, the sharded cross-join
+// estimate path, and a coordinator catching two shard servers up under
+// ingest) with testing.Benchmark and writes the results as JSON.
 // The file is committed as BENCH_lsh.json at the repo root so future changes
 // can be diffed against the recorded baseline; GOMAXPROCS is pinned by the
 // -gomaxprocs flag (default 1) before any benchmark runs, so entries are
@@ -499,6 +501,62 @@ func runPerf(outPath string) (*perfReport, error) {
 		if err := coll.Close(); err != nil {
 			b.Fatal(err)
 		}
+	})
+
+	// Coordinator reads under ingest (not gated): two in-process shard
+	// servers over loopback hold a 20k-vector DBLP corpus, and each op
+	// inserts 24 fresh vectors through a RemoteCollection and reads N. The
+	// read brings both shard replicas up to date by the vectors each shard
+	// published since the previous op — coord_ingest's read path in the
+	// repository benchmark, without the estimate.
+	dblp, err := lshjoin.GenerateDataset(lshjoin.DatasetDBLP, 50000, 47)
+	if err != nil {
+		return nil, err
+	}
+	add("remote_catchup_ingest24", func(b *testing.B) {
+		const batch = 24
+		corpus, pool := dblp[:20000], dblp[20000:]
+		opt := lshjoin.Options{K: k, Tables: 2}
+		var addrs []string
+		for s := 0; s < 2; s++ {
+			srv, err := lshjoin.NewShardServer(opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			errc := make(chan error, 1)
+			go func() { errc <- srv.Serve(ln) }()
+			defer func() {
+				srv.Close()
+				<-errc
+			}()
+			addrs = append(addrs, ln.Addr().String())
+		}
+		rem, err := lshjoin.Connect(addrs, lshjoin.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer rem.Close()
+		if _, err := rem.InsertBatch(corpus); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rem.N(); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lo := i * batch % (len(pool) - batch)
+			if _, err := rem.InsertBatch(pool[lo : lo+batch]); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := rem.N(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
 	})
 
 	buf, err := json.MarshalIndent(report, "", "  ")

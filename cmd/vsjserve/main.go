@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"lshjoin"
+	"lshjoin/internal/kernel"
 )
 
 func main() {
@@ -187,8 +188,12 @@ func runCoordinate(args []string, stdout io.Writer) error {
 }
 
 // serveBench is the loadgen report, the committed BENCH_serve.json shape.
+// CPU and Kernel name the host and the signing kernels (kernel.Impl) the
+// loadgen process ran on; the shard servers are expected to share both.
 type serveBench struct {
 	GoVersion  string            `json:"go_version"`
+	CPU        string            `json:"cpu"`
+	Kernel     string            `json:"kernel"`
 	GoMaxProcs int               `json:"gomaxprocs"`
 	Shards     int               `json:"shards"`
 	Workers    int               `json:"workers"`
@@ -343,6 +348,8 @@ func runLoadgen(args []string, stdout io.Writer) error {
 
 	bench := serveBench{
 		GoVersion:  runtime.Version(),
+		CPU:        cpuModel(),
+		Kernel:     kernel.Impl,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Shards:     rem.Shards(),
 		Workers:    *workers,
@@ -383,6 +390,21 @@ func runLoadgen(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "wrote %s\n", *out)
 	}
 	return nil
+}
+
+// cpuModel returns the host's CPU model name from /proc/cpuinfo, or the
+// architecture where that file is unavailable.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return runtime.GOARCH
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return runtime.GOARCH
 }
 
 func parseShards(s string) ([]string, error) {

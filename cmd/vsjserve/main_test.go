@@ -74,7 +74,7 @@ func TestServeCoordinateLoadgen(t *testing.T) {
 	if err := json.Unmarshal(data, &bench); err != nil {
 		t.Fatal(err)
 	}
-	if bench.Shards != 2 || bench.Preload.Vectors != 400 || len(bench.Ops) == 0 {
+	if bench.Shards != 2 || bench.Preload.Vectors != 400 || len(bench.Ops) == 0 || bench.CPU == "" || bench.Kernel == "" {
 		t.Fatalf("bench report: %+v", bench)
 	}
 	for name, st := range bench.Ops {

@@ -131,14 +131,21 @@
 // The sharded pipeline also runs across processes. A ShardServer owns one
 // shard — an index, optionally durable via Options.Dir — and serves a small
 // length-prefixed binary protocol over TCP (DESIGN.md documents the wire
-// format): streamed ingest, snapshot fetches with a version-checked
-// not-modified fast path, summary digests, and server-side sample batches.
-// Connect dials S such servers and returns a RemoteCollection sharing
-// ShardedCollection's read path; only capture and ingest are remote:
-// inserts route to their home shard with the same content hashing and id
-// assignment, and reads fetch per-shard snapshots in parallel (cached by
-// version), reassemble the group view, and from there run the same
-// estimators, exact joins and searches locally under the same seed stream.
+// format, protocol version 2): streamed ingest, snapshot fetches, summary
+// digests, and server-side sample batches. Connect dials S such servers and
+// returns a RemoteCollection sharing ShardedCollection's read path; only
+// capture and ingest are remote: inserts route to their home shard with the
+// same content hashing and id assignment, and reads bring a replica of
+// every shard up to date in parallel, reassemble the group view, and from
+// there run the same estimators, exact joins and searches locally under
+// the same seed stream. A replica starts from the shard's full snapshot;
+// later fetches name the replica's server incarnation, version and vector
+// count, and the shard answers not-modified, or with just the vectors it
+// published since, which the replica re-signs and publishes as one version
+// (no version history is kept: within one server incarnation the vectors
+// only append). A restarted server is a new incarnation and sends its full
+// snapshot, which a replica refuses with ErrShardProtocol if it holds fewer
+// vectors than were already read.
 // A distributed estimate is therefore bit-equal — not approximately equal —
 // to the in-process sharded one for the same vectors, options and
 // estimator seeds; a property test pins this over real sockets for all ten

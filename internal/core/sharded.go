@@ -16,7 +16,7 @@ import (
 // across shards contributes C(Σm_s, 2) = Σ_s C(m_s, 2) + Σ_{a<b} m_a·m_b
 // pairs. MergedStratum materializes that identity as a weight view over
 // S intra-shard components (the per-shard tables, whose Fenwick weight
-// indexes already serve per-bucket CumWeight sums) plus S·(S−1)/2
+// indexes already serve per-bucket cumulative weights) plus S·(S−1)/2
 // cross-shard bipartite components (lsh.Bipartite over each shard pair).
 // N_H sums component weights, SamplePair picks a component by its cumulative
 // weight and then delegates to the component's own weighted bucket sampler,
@@ -123,19 +123,6 @@ func (ms *MergedStratum) NL() int64 { return ms.M() - ms.nh }
 // Components returns the number of additive weight components
 // (S intra-shard + C(S, 2) cross-shard).
 func (ms *MergedStratum) Components() int { return len(ms.comps) }
-
-// CumWeight returns the cumulative pair weight of components [0, c] — the
-// merged analogue of Table.CumWeight's per-bucket prefix sums, and the
-// boundaries SamplePair descends by.
-func (ms *MergedStratum) CumWeight(c int) int64 {
-	if c < 0 {
-		return 0
-	}
-	if c >= len(ms.cum) {
-		c = len(ms.cum) - 1
-	}
-	return ms.cum[c]
-}
 
 // SamplePair draws a uniform random pair from the union stratum H: a
 // component chosen with probability weight/N_H by its cumulative weight,
@@ -245,18 +232,6 @@ func (ms *MergedBipartiteStratum) RightN() int { return ms.right.N() }
 // Components returns the number of additive weight components
 // (S_left·S_right shard pairs).
 func (ms *MergedBipartiteStratum) Components() int { return len(ms.comps) }
-
-// CumWeight returns the cumulative cross-pair weight of components [0, c] —
-// the boundaries SamplePair descends by.
-func (ms *MergedBipartiteStratum) CumWeight(c int) int64 {
-	if c < 0 {
-		return 0
-	}
-	if c >= len(ms.cum) {
-		c = len(ms.cum) - 1
-	}
-	return ms.cum[c]
-}
 
 // SamplePair draws a uniform random cross pair from the union stratum H: a
 // shard-pair component chosen with probability weight/N_H by its cumulative

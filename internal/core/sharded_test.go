@@ -54,9 +54,8 @@ func TestMergedStratumMatchesUnion(t *testing.T) {
 					if want := s + s*(s-1)/2; ms.Components() != want {
 						t.Fatalf("s=%d: %d components, want %d", s, ms.Components(), want)
 					}
-					if ms.CumWeight(ms.Components()-1) != ms.NH() {
-						t.Fatalf("cumulative component weights end at %d, NH %d",
-							ms.CumWeight(ms.Components()-1), ms.NH())
+					if cum := ms.cum[len(ms.cum)-1]; cum != ms.NH() {
+						t.Fatalf("cumulative component weights end at %d, NH %d", cum, ms.NH())
 					}
 					for i := 0; i < gs.N(); i++ {
 						for j := i + 1; j < gs.N(); j++ {
@@ -346,9 +345,8 @@ func TestMergedBipartiteMatchesUnion(t *testing.T) {
 				if want := sl * sr; ms.Components() != want {
 					t.Fatalf("s=%dx%d: %d components, want %d", sl, sr, ms.Components(), want)
 				}
-				if ms.CumWeight(ms.Components()-1) != ms.NH() {
-					t.Fatalf("cumulative component weights end at %d, NH %d",
-						ms.CumWeight(ms.Components()-1), ms.NH())
+				if cum := ms.cum[len(ms.cum)-1]; cum != ms.NH() {
+					t.Fatalf("cumulative component weights end at %d, NH %d", cum, ms.NH())
 				}
 				for u := 0; u < lgs.N(); u++ {
 					for v := 0; v < rgs.N(); v++ {

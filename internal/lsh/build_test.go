@@ -50,8 +50,8 @@ func tablesEqual(t *testing.T, a, b *Table) {
 				t.Fatalf("bucket %d member %d: id %d vs %d", bi, x, ba.ids[x], bb.ids[x])
 			}
 		}
-		if a.CumWeight(bi) != b.CumWeight(bi) {
-			t.Fatalf("bucket %d: cum %d vs %d", bi, a.CumWeight(bi), b.CumWeight(bi))
+		if a.w.prefix(bi) != b.w.prefix(bi) {
+			t.Fatalf("bucket %d: cum %d vs %d", bi, a.w.prefix(bi), b.w.prefix(bi))
 		}
 	}
 	for i := 0; i < a.N(); i++ {

@@ -1,6 +1,10 @@
 package lsh
 
-import "lshjoin/internal/vecmath"
+import (
+	"fmt"
+
+	"lshjoin/internal/vecmath"
+)
 
 // Dynamic maintenance: the paper pitches the estimator as "minimal addition
 // to the existing LSH index", and existing LSH indexes grow while they serve
@@ -225,17 +229,55 @@ func (x *Index) Insert(v vecmath.Vector) int {
 // costs far less than len(vs) repeated Inserts. Like Insert, the batch lands
 // in the pending delta and is published by the next Snapshot.
 func (x *Index) InsertBatch(vs []vecmath.Vector) int {
-	// Sign outside the writer lock: the signatures are a pure function of
-	// (family, k, ℓ, vs) — all version-invariant — so a long batch never
-	// stalls readers that publish, only the final appends serialize.
-	cur := x.cur.Load()
-	var sigs *signatures
-	if len(vs) > 0 {
-		sigs = newEngine(cur.family, cur.k, cur.ell, cur.sign).sign(vs)
-	}
+	sigs := x.signBatch(vs)
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	first := x.cur.Load().N() + len(x.pendData)
+	return x.appendLocked(vs, sigs)
+}
+
+// CatchUp advances a replica of another index — a coordinator's copy of a
+// shard — to the source's published state. vs must be the vectors the
+// source holds past this index's current ones, in id order. They are
+// appended as InsertBatch appends them, signed by the batch engine, so no
+// bucket keys need to travel with them, and published as one version
+// stamped version, the source's own. Publish equivalence makes the result
+// identical to the source's snapshot at that version, draw for draw,
+// however the source split the vectors into versions; the persist
+// package's FuzzCatchUpMatchesRestore pins this. version must be above the
+// current one, vs must not be empty, and nothing may be pending.
+func (x *Index) CatchUp(vs []vecmath.Vector, version uint64) (*Snapshot, error) {
+	if len(vs) == 0 {
+		return nil, fmt.Errorf("lsh: catch-up to version %d carries no vectors", version)
+	}
+	sigs := x.signBatch(vs)
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if cur := x.cur.Load().version; version <= cur {
+		return nil, fmt.Errorf("lsh: catch-up to version %d does not advance version %d", version, cur)
+	}
+	if len(x.pendData) > 0 {
+		return nil, fmt.Errorf("lsh: catch-up with %d inserts pending", len(x.pendData))
+	}
+	x.appendLocked(vs, sigs)
+	return x.publishLocked(version), nil
+}
+
+// signBatch signs vs outside the writer lock: the signatures are a pure
+// function of (family, k, ℓ, vs) — all version-invariant — so a long batch
+// never stalls readers that publish; only the appends serialize.
+func (x *Index) signBatch(vs []vecmath.Vector) *signatures {
+	if len(vs) == 0 {
+		return nil
+	}
+	cur := x.cur.Load()
+	return newEngine(cur.family, cur.k, cur.ell, cur.sign).sign(vs)
+}
+
+// appendLocked appends a signed batch to the pending delta and returns the
+// id of its first vector. Callers must hold x.mu.
+func (x *Index) appendLocked(vs []vecmath.Vector, sigs *signatures) int {
+	cur := x.cur.Load()
+	first := cur.N() + len(x.pendData)
 	if len(vs) == 0 {
 		return first
 	}

@@ -126,3 +126,34 @@ func TestInsertVisibleToQueries(t *testing.T) {
 		t.Error("inserted vector not found by Search at τ≈1")
 	}
 }
+
+// CatchUp publishes its vectors as one version stamped with the version it
+// is given, and refuses a version that does not advance, an empty run and a
+// replica with pending inserts, leaving the replica as it was.
+func TestCatchUpStampsVersion(t *testing.T) {
+	data := randData(60, 40, 6, 81)
+	x, err := Build(data[:40], NewSimHash(82), 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := x.CatchUp(data[40:50], 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Version() != 7 || s.N() != 50 || x.Current() != s {
+		t.Fatalf("CatchUp published (v%d, n%d), want (v7, n50) as the current snapshot", s.Version(), s.N())
+	}
+	if _, err := x.CatchUp(data[50:], 7); err == nil {
+		t.Error("CatchUp to the current version accepted")
+	}
+	if _, err := x.CatchUp(nil, 8); err == nil {
+		t.Error("empty CatchUp accepted")
+	}
+	x.Insert(data[50])
+	if _, err := x.CatchUp(data[51:], 9); err == nil {
+		t.Error("CatchUp over a pending insert accepted")
+	}
+	if cur := x.Current(); cur != s {
+		t.Fatalf("refused catch-ups moved the replica to (v%d, n%d)", cur.Version(), cur.N())
+	}
+}

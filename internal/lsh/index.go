@@ -67,7 +67,7 @@ func (x *Index) SetWriteHook(h WriteHook) {
 func (x *Index) PublishAndThen(fn func(s *Snapshot)) *Snapshot {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	s := x.publishLocked()
+	s := x.publishLocked(x.cur.Load().version + 1)
 	fn(s)
 	return s
 }
@@ -170,18 +170,20 @@ func (x *Index) Snapshot() *Snapshot {
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return x.publishLocked()
+	return x.publishLocked(x.cur.Load().version + 1)
 }
 
-// publishLocked merges the pending delta into the current snapshot and
-// atomically swaps the result in. Callers must hold x.mu.
-func (x *Index) publishLocked() *Snapshot {
+// publishLocked merges the pending delta into the current snapshot, stamps
+// the result with version (above the current one), and atomically swaps it
+// in. With nothing pending it returns the current snapshot unchanged.
+// Callers must hold x.mu.
+func (x *Index) publishLocked(version uint64) *Snapshot {
 	cur := x.cur.Load()
 	if len(x.pendData) == 0 {
 		return cur
 	}
 	next := &Snapshot{
-		version: cur.version + 1,
+		version: version,
 		family:  cur.family,
 		k:       cur.k,
 		ell:     cur.ell,

@@ -145,11 +145,6 @@ func (t *Table) NH() int64 { return t.w.total() }
 // NL returns N_L = M − N_H, the number of pairs not sharing a bucket.
 func (t *Table) NL() int64 { return t.M() - t.w.total() }
 
-// CumWeight returns the cumulative pair weight Σ_{j ≤ i} C(b_j, 2) of the
-// buckets up to index i in the deterministic bucket order — the quantity the
-// frozen prefix-sum array used to expose — in O(log #buckets).
-func (t *Table) CumWeight(i int) int64 { return t.w.prefix(i) }
-
 // KeyOf returns the bucket key of vector i in canonical string form (the
 // 8-byte big-endian packed word in narrow mode).
 func (t *Table) KeyOf(i int) string {
@@ -255,11 +250,11 @@ func (t *Table) SamplePair(rng *xrand.RNG) (i, j int, ok bool) {
 
 // ForEachPairBucket calls fn, in bucket order, for every bucket of at least
 // two members — the buckets that hold stratum H — with cum the cumulative
-// pair weight Σ C(b_j, 2) through that bucket (its CumWeight). The walk
-// skips the weight tree's zero-weight subtrees, so its cost follows the
-// number of such buckets, not #buckets. SamplePair's descent picks, for
-// x ∈ [0, N_H), the listed bucket with the smallest cum > x. It stops early
-// if fn returns false; callers must not modify ids.
+// pair weight Σ C(b_j, 2) through that bucket. The walk skips the weight
+// tree's zero-weight subtrees, so its cost follows the number of such
+// buckets, not #buckets. SamplePair's descent picks, for x ∈ [0, N_H), the
+// listed bucket with the smallest cum > x. It stops early if fn returns
+// false; callers must not modify ids.
 func (t *Table) ForEachPairBucket(fn func(cum int64, ids []int32) bool) {
 	t.w.walkWeighted(func(cum int64, b *bucket) bool { return fn(cum, b.ids) })
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lshjoin/internal/lsh"
@@ -71,6 +72,8 @@ type Client struct {
 	br     *bufio.Reader
 	hello  Hello
 	pinned bool
+
+	snapInc atomic.Uint64 // the incarnation of Snapshot's last blob
 }
 
 // Dial connects to a shard server and performs the handshake, returning its
@@ -247,21 +250,77 @@ func (c *Client) Publish() (uint64, error) {
 	return decodeVersion(resp)
 }
 
-// Snapshot fetches the shard's current snapshot (publishing pending ingest
-// first). With have set to a version the caller already holds, an unchanged
-// shard answers with notModified=true and ships no blob. The blob is the
-// persist checkpoint encoding; decode with persist.DecodeSnapshot.
+// Fetched is a shard's answer to Fetch: its current version and exactly
+// one of Blob and Delta, or neither when the base is still current.
+type Fetched struct {
+	Version uint64
+	// Blob is the full snapshot in the persist checkpoint encoding, sent by
+	// server incarnation Incarnation; decode it with persist.DecodeSnapshot.
+	Blob        []byte
+	Incarnation uint64
+	// Delta holds the vectors past the base's N, in id order, which bring
+	// the base to Version (see lsh.Index.CatchUp).
+	Delta []vecmath.Vector
+}
+
+// Fetch brings a base of the shard up to date, publishing pending ingest
+// first. The shard answers with what the base lacks: nothing when it is
+// current, its new vectors when the base came from the shard's running
+// incarnation, and its full snapshot otherwise. Fetch checks that a
+// not-modified or delta answer fits base; a delta must be applied to
+// exactly that base.
+func (c *Client) Fetch(base Base) (Fetched, error) {
+	rtyp, resp, err := c.call(TSnapshot, encodeSnapshotReq(base), true, TSnapshotOK, TSnapshotDelta, TNotModified)
+	if err != nil {
+		return Fetched{}, err
+	}
+	switch rtyp {
+	case TNotModified:
+		v, err := decodeVersion(resp)
+		if err != nil {
+			return Fetched{}, err
+		}
+		if base.Incarnation == 0 || v != base.Version {
+			return Fetched{}, pErr("shardrpc: not-modified at version %d for a base at version %d", v, base.Version)
+		}
+		return Fetched{Version: v}, nil
+	case TSnapshotDelta:
+		v, first, vs, err := decodeDeltaResp(resp)
+		if err != nil {
+			return Fetched{}, err
+		}
+		if base.Incarnation == 0 || first != base.N || v <= base.Version || len(vs) == 0 {
+			return Fetched{}, pErr("shardrpc: delta of %d vectors from id %d at version %d does not extend the base (%d vectors at version %d)",
+				len(vs), first, v, base.N, base.Version)
+		}
+		return Fetched{Version: v, Delta: vs}, nil
+	}
+	inc, v, blob, err := decodeSnapshotResp(resp)
+	if err != nil {
+		return Fetched{}, err
+	}
+	if inc == 0 || len(blob) == 0 {
+		return Fetched{}, pErr("shardrpc: snapshot answer from incarnation %d with a %d-byte blob", inc, len(blob))
+	}
+	return Fetched{Version: v, Blob: blob, Incarnation: inc}, nil
+}
+
+// Snapshot fetches the shard's full snapshot blob, or reports notModified
+// when the shard is still at version have. It names no base vectors, so
+// the shard never answers it with a delta. have counts as current only on
+// the server incarnation this client's Snapshot last returned a blob from,
+// so a restarted server always sends its blob. Decode the blob with
+// persist.DecodeSnapshot.
 func (c *Client) Snapshot(have uint64) (version uint64, blob []byte, notModified bool, err error) {
-	rtyp, resp, err := c.call(TSnapshot, encodeVersion(have), true, TSnapshotOK, TNotModified)
+	f, err := c.Fetch(Base{Incarnation: c.snapInc.Load(), Version: have})
 	if err != nil {
 		return 0, nil, false, err
 	}
-	if rtyp == TNotModified {
-		v, err := decodeVersion(resp)
-		return v, nil, true, err
+	if f.Blob == nil {
+		return f.Version, nil, true, nil
 	}
-	version, blob, err = decodeSnapshotResp(resp)
-	return version, blob, false, err
+	c.snapInc.Store(f.Incarnation)
+	return f.Version, f.Blob, false, nil
 }
 
 // Stats fetches the shard's cheap summary digest (version, n, per-table

@@ -4,13 +4,15 @@
 //
 // The protocol is deliberately small: length-prefixed binary frames with the
 // same CRC32-C discipline as the persist layer's snapshot sections, carrying
-// a handful of request/response messages (see protocol.go). Snapshot
-// responses reuse the checkpoint file encoding verbatim and ingest reuses
-// the delta log's vector encoding, so the network layer adds no second
-// codec: persist's decode limits and fuzz coverage apply to every byte that
-// crosses the wire, and a fetched shard rebuilds through the same
-// lsh.RestoreIndex path whose draw-for-draw equivalence the durability tests
-// prove. DESIGN.md documents the byte layouts.
+// a handful of request/response messages (see protocol.go). Full snapshot
+// responses reuse the checkpoint file encoding verbatim, and ingest and
+// snapshot deltas reuse the delta log's vector encoding, so the network
+// layer adds no second codec: persist's decode limits and fuzz coverage
+// apply to every byte that crosses the wire. A fetched shard rebuilds
+// through the same lsh.RestoreIndex path whose draw-for-draw equivalence the
+// durability tests prove, and a cached one catches up through
+// lsh.Index.CatchUp, which builds the same state (FuzzCatchUpMatchesRestore).
+// DESIGN.md documents the byte layouts.
 package shardrpc
 
 import (
@@ -92,14 +94,22 @@ func WriteFrame(w io.Writer, typ uint32, payload []byte) error {
 // underlying error; structural violations wrap ErrProtocol. The returned
 // payload is freshly allocated and owned by the caller.
 func ReadFrame(r io.Reader) (typ uint32, payload []byte, err error) {
+	return readFrame(r, func(uint32) uint64 { return MaxPayload })
+}
+
+// readFrame is ReadFrame with a payload cap per message type, checked
+// against the header before the payload is allocated: a frame whose header
+// names more than maxPayload(typ) bytes is a protocol violation, and its
+// body is never read.
+func readFrame(r io.Reader, maxPayload func(typ uint32) uint64) (typ uint32, payload []byte, err error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
 	typ = binary.LittleEndian.Uint32(hdr[:4])
 	plen := binary.LittleEndian.Uint64(hdr[4:])
-	if plen > MaxPayload {
-		return 0, nil, fmt.Errorf("shardrpc: frame length %d exceeds limit: %w", plen, ErrProtocol)
+	if plen > maxPayload(typ) {
+		return 0, nil, fmt.Errorf("shardrpc: frame type %d length %d exceeds its limit: %w", typ, plen, ErrProtocol)
 	}
 	body := make([]byte, plen+4)
 	if _, err := io.ReadFull(r, body); err != nil {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 
 	"lshjoin/internal/lsh"
+	"lshjoin/internal/lsh/persist"
+	"lshjoin/internal/vecmath"
 )
 
 // Protocol messages. A connection starts with a handshake — the client
@@ -12,29 +14,45 @@ import (
 // HelloOK with its hashing identity (family spec, k, ℓ) and current state —
 // after which the client issues one request frame at a time and reads one
 // response frame per request. Response types are the request type with the
-// response bit set; Err and NotModified are shared response types. Payload
-// layouts (all integers little endian, uvarint = unsigned LEB128):
+// response bit set; Err, NotModified and SnapshotDelta are shared response
+// types. Payload layouts (all integers little endian, uvarint = unsigned
+// LEB128):
 //
-//	Hello       magic "LSHRPC1\n" (8 bytes) | uvarint protoVersion
-//	HelloOK     uvarint protoVersion | uvarint len(name) | name |
-//	            u64 familySeed | uvarint bits | uvarint k | uvarint ℓ |
-//	            u64 version | uvarint n
-//	Ingest      vector batch in persist's encoding (uvarint count, then per
-//	            vector: uvarint nnz, delta-coded dims, float32 weight bits)
-//	IngestOK    uvarint firstID | uvarint count
-//	Publish     (empty)
-//	PublishOK   u64 version
-//	Snapshot    u64 haveVersion
-//	SnapshotOK  u64 version | snapshot blob (persist checkpoint encoding)
-//	NotModified u64 version   (answers Snapshot when version == haveVersion)
-//	Stats       (empty)
-//	StatsOK     u64 version | uvarint n | uvarint ℓ | ℓ × uvarint N_H
-//	Sample      uvarint table | uvarint count | u64 seed
-//	SampleOK    u64 version | uvarint count | count × (uvarint i, uvarint j)
-//	Err         uvarint code | message text (rest of payload)
+//	Hello         magic "LSHRPC1\n" (8 bytes) | uvarint protoVersion
+//	HelloOK       uvarint protoVersion | uvarint len(name) | name |
+//	              u64 familySeed | uvarint bits | uvarint k | uvarint ℓ |
+//	              u64 version | uvarint n
+//	Ingest        vector batch in persist's encoding (uvarint count, then per
+//	              vector: uvarint nnz, delta-coded dims, float32 weight bits)
+//	IngestOK      uvarint firstID | uvarint count
+//	Publish       (empty)
+//	PublishOK     u64 version
+//	Snapshot      u64 incarnation | u64 haveVersion | uvarint haveN
+//	SnapshotOK    u64 incarnation | u64 version | snapshot blob (persist
+//	              checkpoint encoding)
+//	SnapshotDelta u64 version | uvarint first | vector batch (the vectors
+//	              with ids first, first+1, ... in persist's encoding)
+//	NotModified   u64 version   (answers Snapshot when version == haveVersion)
+//	Stats         (empty)
+//	StatsOK       u64 version | uvarint n | uvarint ℓ | ℓ × uvarint N_H
+//	Sample        uvarint table | uvarint count | u64 seed
+//	SampleOK      u64 version | uvarint count | count × (uvarint i, uvarint j)
+//	Err           uvarint code | message text (rest of payload)
+//
+// A Snapshot request names the base the client holds: the server
+// incarnation it came from, its version and its vector count (all zero for
+// no base). An incarnation is a random nonzero id each Server draws once,
+// so a restarted server never mistakes a base from its previous run for its
+// own. Within one incarnation the vectors only ever append, so any base the
+// server published is a prefix of its current state, and the server needs
+// no record of the versions it published to extend one. It answers
+// NotModified when the base names its incarnation and current version;
+// SnapshotDelta, the vectors past haveN, when the base names its
+// incarnation, an older version and at least one vector; and SnapshotOK,
+// the full blob stamped with its incarnation, to every other request.
 const (
 	protoMagic   = "LSHRPC1\n"
-	protoVersion = 1
+	protoVersion = 2
 
 	// Request types.
 	THello    = uint32(1)
@@ -55,9 +73,29 @@ const (
 	TStatsOK    = TStats | respBit
 	TSampleOK   = TSample | respBit
 
-	TNotModified = uint32(0x7E)
-	TErr         = uint32(0x7F)
+	TSnapshotDelta = uint32(0x7D)
+	TNotModified   = uint32(0x7E)
+	TErr           = uint32(0x7F)
 )
+
+// maxRequestPayload caps a request's payload by type. The server checks the
+// cap against the frame header before it allocates the payload, so a header
+// naming a huge payload costs nothing: every request but Ingest has a fixed
+// layout of a few dozen bytes at most. Unknown types may carry no payload
+// (they are answered with Err).
+func maxRequestPayload(typ uint32) uint64 {
+	switch typ {
+	case THello:
+		return uint64(len(protoMagic) + binary.MaxVarintLen64)
+	case TIngest:
+		return MaxPayload
+	case TSnapshot:
+		return 8 + 8 + binary.MaxVarintLen64
+	case TSample:
+		return 2*binary.MaxVarintLen64 + 8
+	}
+	return 0 // Publish, Stats and unknown types
+}
 
 // Server error codes carried by Err responses.
 const (
@@ -261,18 +299,80 @@ func decodeVersion(payload []byte) (uint64, error) {
 	return v, p.done()
 }
 
-func encodeSnapshotResp(version uint64, blob []byte) []byte {
-	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(blob)), version)
+// Base names the state a caller holds of a shard, as an earlier fetch
+// returned it: the server incarnation it came from, its version and its
+// vector count. The zero Base holds nothing.
+type Base struct {
+	Incarnation, Version uint64
+	N                    int
+}
+
+func encodeSnapshotReq(b Base) []byte {
+	buf := binary.LittleEndian.AppendUint64(nil, b.Incarnation)
+	buf = binary.LittleEndian.AppendUint64(buf, b.Version)
+	return binary.AppendUvarint(buf, uint64(b.N))
+}
+
+func decodeSnapshotReq(payload []byte) (Base, error) {
+	var b Base
+	p := &preader{data: payload}
+	var err error
+	if b.Incarnation, err = p.u64(); err != nil {
+		return b, err
+	}
+	if b.Version, err = p.u64(); err != nil {
+		return b, err
+	}
+	n, err := p.uvarint()
+	if err != nil {
+		return b, err
+	}
+	if n > maxN {
+		return b, pErr("shardrpc: base vector count %d out of range", n)
+	}
+	b.N = int(n)
+	return b, p.done()
+}
+
+func encodeSnapshotResp(incarnation, version uint64, blob []byte) []byte {
+	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, 16+len(blob)), incarnation)
+	buf = binary.LittleEndian.AppendUint64(buf, version)
 	return append(buf, blob...)
 }
 
-func decodeSnapshotResp(payload []byte) (uint64, []byte, error) {
+func decodeSnapshotResp(payload []byte) (incarnation, version uint64, blob []byte, err error) {
 	p := &preader{data: payload}
-	v, err := p.u64()
-	if err != nil {
-		return 0, nil, err
+	if incarnation, err = p.u64(); err != nil {
+		return 0, 0, nil, err
 	}
-	return v, p.rest(), nil
+	if version, err = p.u64(); err != nil {
+		return 0, 0, nil, err
+	}
+	return incarnation, version, p.rest(), nil
+}
+
+func encodeDeltaResp(version uint64, first int, vs []vecmath.Vector) []byte {
+	buf := binary.LittleEndian.AppendUint64(nil, version)
+	buf = binary.AppendUvarint(buf, uint64(first))
+	return append(buf, persist.EncodeVectors(vs)...)
+}
+
+func decodeDeltaResp(payload []byte) (version uint64, first int, vs []vecmath.Vector, err error) {
+	p := &preader{data: payload}
+	if version, err = p.u64(); err != nil {
+		return 0, 0, nil, err
+	}
+	f, err := p.uvarint()
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	if f > maxN {
+		return 0, 0, nil, pErr("shardrpc: delta first id %d out of range", f)
+	}
+	if vs, err = persist.DecodeVectors(p.rest()); err != nil {
+		return 0, 0, nil, pErr("shardrpc: delta vectors: %v", err)
+	}
+	return version, int(f), vs, nil
 }
 
 func encodeStatsResp(version uint64, sum lsh.SnapshotSummary) []byte {

@@ -1,7 +1,9 @@
 package shardrpc
 
 import (
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -354,5 +356,87 @@ func TestIngestNotReplayedAfterPartialFailure(t *testing.T) {
 	}
 	if got := len(calls); got != 1 {
 		t.Fatalf("ingest hit the server %d times, want exactly 1 (no replay)", got)
+	}
+}
+
+// Fetch sends a base only what it lacks: the full blob for no base, the new
+// vectors for a base of the running incarnation, nothing for a current one,
+// and the full blob again for a base naming any other incarnation.
+func TestFetchAnswersByBase(t *testing.T) {
+	srv, addr := startServer(t, ServerOptions{})
+	c, err := Dial(addr, testClientOptions())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	vs := testVectors(50)
+	if _, _, err := c.Ingest(vs[:30]); err != nil {
+		t.Fatalf("Ingest: %v", err)
+	}
+	full, err := c.Fetch(Base{})
+	if err != nil || full.Blob == nil || full.Delta != nil || full.Incarnation == 0 {
+		t.Fatalf("Fetch(no base) = %+v, %v; want a blob", full, err)
+	}
+	idx, err := persist.DecodeSnapshot(full.Blob)
+	if err != nil {
+		t.Fatalf("DecodeSnapshot: %v", err)
+	}
+	base := Base{Incarnation: full.Incarnation, Version: full.Version, N: idx.Current().N()}
+	if nm, err := c.Fetch(base); err != nil || nm.Blob != nil || nm.Delta != nil || nm.Version != base.Version {
+		t.Fatalf("Fetch(current base) = %+v, %v; want not-modified", nm, err)
+	}
+	if _, _, err := c.Ingest(vs[30:]); err != nil {
+		t.Fatalf("Ingest: %v", err)
+	}
+	d, err := c.Fetch(base)
+	if err != nil || d.Blob != nil || len(d.Delta) != 20 {
+		t.Fatalf("Fetch(old base) = %d-byte blob, %d vectors, %v; want a 20-vector delta", len(d.Blob), len(d.Delta), err)
+	}
+	for i, v := range d.Delta {
+		if !vecmath.Equal(v, vs[30+i]) {
+			t.Fatalf("delta vector %d differs from ingested vector %d", i, 30+i)
+		}
+	}
+	if _, err := idx.CatchUp(d.Delta, d.Version); err != nil {
+		t.Fatalf("CatchUp: %v", err)
+	}
+	want, err := persist.EncodeSnapshot(srv.Index().Current())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := persist.EncodeSnapshot(idx.Current())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("caught-up replica encodes differently from the server's snapshot")
+	}
+	other := Base{Incarnation: full.Incarnation + 1, Version: d.Version, N: 50}
+	if f, err := c.Fetch(other); err != nil || f.Blob == nil || f.Incarnation != full.Incarnation {
+		t.Fatalf("Fetch(foreign base) = %+v, %v; want the blob of incarnation %#x", f, err, full.Incarnation)
+	}
+}
+
+// The server reads a request's header before its payload and closes the
+// connection, allocating nothing, when the header names more payload than
+// the request type can hold — here a 1 GiB Stats request, whose payload is
+// empty by layout.
+func TestServerClosesOverCapRequest(t *testing.T) {
+	_, addr := startServer(t, ServerOptions{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var hdr [frameHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[:4], TStats)
+	binary.LittleEndian.PutUint64(hdr[4:], MaxPayload)
+	if _, err := conn.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	var buf [1]byte
+	if _, err := conn.Read(buf[:]); !errors.Is(err, io.EOF) {
+		t.Fatalf("read after an over-cap header = %v, want the server to close the connection (EOF)", err)
 	}
 }

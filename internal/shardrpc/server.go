@@ -2,6 +2,8 @@ package shardrpc
 
 import (
 	"bufio"
+	"crypto/rand"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -27,7 +29,8 @@ type ServerOptions struct {
 
 // Server owns one lsh.Index — one shard of a distributed collection — and
 // serves the protocol over a listener: streamed ingest, snapshot fetches
-// with a not-modified fast path, summaries and server-side sample batches.
+// that send a client only what its base lacks (nothing, the new vectors, or
+// the full blob), summaries and server-side sample batches.
 //
 // Concurrency: each connection is handled by its own goroutine, and all of
 // them share the index through its usual write-lock/atomic-snapshot
@@ -39,6 +42,7 @@ type ServerOptions struct {
 type Server struct {
 	idx *lsh.Index
 	opt ServerOptions
+	inc uint64 // this server's incarnation: random, nonzero, drawn once
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -57,7 +61,18 @@ type Server struct {
 // NewServer wraps an index (typically lsh.NewEmptyIndex, or a recovered
 // durable one) as a shard server. Call Serve to accept connections.
 func NewServer(idx *lsh.Index, opt ServerOptions) *Server {
-	return &Server{idx: idx, opt: opt, conns: make(map[net.Conn]struct{})}
+	return &Server{idx: idx, opt: opt, inc: newIncarnation(), conns: make(map[net.Conn]struct{})}
+}
+
+// newIncarnation draws a random nonzero 64-bit server incarnation.
+func newIncarnation() uint64 {
+	var b [8]byte
+	for {
+		rand.Read(b[:]) // never fails on supported platforms
+		if inc := binary.LittleEndian.Uint64(b[:]); inc != 0 {
+			return inc
+		}
+	}
 }
 
 // Index returns the served index, for the process that owns the server
@@ -140,9 +155,10 @@ func (s *Server) handleConn(conn net.Conn) {
 		if s.opt.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opt.IdleTimeout))
 		}
-		typ, payload, err := ReadFrame(br)
+		typ, payload, err := readFrame(br, maxRequestPayload)
 		if err != nil {
-			// EOF, a closed connection, an idle timeout, or garbage framing:
+			// EOF, a closed connection, an idle timeout, garbage framing or
+			// a header naming more payload than its request type can hold:
 			// nothing sensible can be answered on this byte stream either
 			// way, so just drop it. Request-level errors (a well-framed but
 			// bad payload) are answered with Err below instead.
@@ -193,19 +209,26 @@ func (s *Server) handle(typ uint32, payload []byte) (uint32, []byte) {
 		return TPublishOK, encodeVersion(s.idx.Snapshot().Version())
 
 	case TSnapshot:
-		have, err := decodeVersion(payload)
+		base, err := decodeSnapshotReq(payload)
 		if err != nil {
 			return TErr, encodeErrResp(CodeBadRequest, err.Error())
 		}
 		snap := s.idx.Snapshot()
-		if snap.Version() == have {
-			return TNotModified, encodeVersion(have)
+		if base.Incarnation == s.inc {
+			// The base is this incarnation's, so its vectors are a prefix
+			// of snap's: vectors only ever append within one incarnation.
+			switch {
+			case base.Version == snap.Version():
+				return TNotModified, encodeVersion(base.Version)
+			case base.N > 0 && base.Version < snap.Version() && base.N < snap.N():
+				return TSnapshotDelta, encodeDeltaResp(snap.Version(), base.N, snap.Data()[base.N:])
+			}
 		}
 		blob, err := s.snapshotBlob(snap)
 		if err != nil {
 			return TErr, encodeErrResp(CodeInternal, err.Error())
 		}
-		return TSnapshotOK, encodeSnapshotResp(snap.Version(), blob)
+		return TSnapshotOK, encodeSnapshotResp(s.inc, snap.Version(), blob)
 
 	case TStats:
 		snap := s.idx.Snapshot()

@@ -63,36 +63,51 @@ func WithRetryPolicy(retries int, backoff time.Duration) RemoteOption {
 // estimate surface of a ShardedCollection over S shard servers instead of S
 // in-process shards. addrs[s] serves shard s of the consistent-hash key
 // space — Insert routes with the same jump-hash routing as NewSharded. Only
-// capture and ingest are remote: reads fetch per-shard snapshots (with a
-// version-checked not-modified fast path), reassemble them into the group
-// view, and from there run the read path a ShardedCollection runs — the
-// same merged estimators, seed stream and exact-joiner cache — locally.
+// capture and ingest are remote: reads bring a cached replica of each shard
+// up to date, reassemble the replicas' snapshots into the group view, and
+// from there run the read path a ShardedCollection runs — the same merged
+// estimators, seed stream and exact-joiner cache — locally. A replica
+// starts from the shard's full snapshot and then catches up by the vectors
+// the shard published since, so an unchanged shard costs one not-modified
+// round trip and a grown one the transfer and signing of its new vectors.
 //
 // A distributed estimate is therefore bit-equal to the in-process one: for
 // the same vectors, options and estimator seeds, every algorithm returns
 // exactly what an equivalent ShardedCollection returns, draw for draw (the
-// remote_test property suite pins this at S ∈ {1, 4}). The guarantee rests
-// on two proven equivalences: a snapshot restored from its wire encoding is
-// sampling-equivalent to the original (the durability layer's restore
-// property), and per-shard ingest publishes the same buckets the in-process
-// writer publishes.
+// remote_test property suite pins this at S ∈ {1, 3, 4}). The guarantee
+// rests on proven equivalences: a snapshot restored from its wire encoding
+// is sampling-equivalent to the original (the durability layer's restore
+// property), per-shard ingest publishes the same buckets the in-process
+// writer publishes, and a replica caught up by a shard's new vectors equals
+// the shard's own snapshot (publish equivalence).
 //
 // Failure semantics: any shard failing — timeout, transport loss after
 // retries, or protocol violation — fails the whole read with a typed error
 // (ErrShardUnavailable, ErrShardProtocol, or a server rejection). There are
-// no partial estimates over a subset of shards. All methods are safe for
+// no partial estimates over a subset of shards. A shard server that
+// restarts with fewer vectors than this collection has already read from
+// it fails every read with ErrShardProtocol until it holds as many again; a
+// fresh Connect accepts its new state. All methods are safe for
 // unsynchronized concurrent use.
 type RemoteCollection struct {
 	reader
 	family  lsh.Family
 	clients []*shardrpc.Client
+	shards  []shardReplica
 	closed  atomic.Bool
 
-	// Per-shard snapshot cache: versions are monotone per shard, so cached
-	// entries only ever advance, and an unchanged shard costs one
-	// not-modified round trip instead of a snapshot transfer.
-	mu    sync.Mutex
-	snaps []*lsh.Snapshot
+	deltas atomic.Int64 // catch-ups applied, for tests
+}
+
+// shardReplica is a coordinator's copy of one shard: a writable index
+// restored from the shard's first full snapshot and advanced with
+// lsh.Index.CatchUp, and the server incarnation it mirrors. mu serializes
+// the shard's fetches, so each delta is applied once, onto the base it was
+// requested for.
+type shardReplica struct {
+	mu  sync.Mutex
+	inc uint64
+	idx *lsh.Index // nil until the first full snapshot
 }
 
 // Connect dials the shard servers and performs the handshakes. Options
@@ -152,7 +167,7 @@ func Connect(addrs []string, opt Options, ropts ...RemoteOption) (*RemoteCollect
 		closeAll()
 		return nil, err
 	}
-	c := &RemoteCollection{clients: clients, snaps: make([]*lsh.Snapshot, len(addrs))}
+	c := &RemoteCollection{clients: clients, shards: make([]shardReplica, len(addrs))}
 	c.family, c.sim = familyFor(opt)
 	c.opt, c.snapshot = opt, c.capture
 	return c, nil
@@ -182,35 +197,51 @@ func (c *RemoteCollection) ShardOf(id int) int {
 	return s
 }
 
-// fetchShard fetches shard s's current snapshot, reusing have when the
-// shard answers not-modified, and validates the decoded state against the
-// pinned hashing identity.
-func (c *RemoteCollection) fetchShard(s int, have *lsh.Snapshot) (*lsh.Snapshot, error) {
-	haveVer := uint64(0)
-	if have != nil {
-		haveVer = have.Version()
+// fetchShard brings shard s's replica up to date and returns its snapshot.
+// The shard answers with what the replica lacks: nothing, its new vectors
+// (applied by CatchUp), or its full snapshot. A full snapshot replaces the
+// replica unless it holds fewer vectors, which only a server restarted
+// without vectors this collection has already read can send.
+func (c *RemoteCollection) fetchShard(s int) (*lsh.Snapshot, error) {
+	r := &c.shards[s]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var base shardrpc.Base
+	if r.idx != nil {
+		cur := r.idx.Current()
+		base = shardrpc.Base{Incarnation: r.inc, Version: cur.Version(), N: cur.N()}
 	}
-	version, blob, notMod, err := c.clients[s].Snapshot(haveVer)
+	f, err := c.clients[s].Fetch(base)
 	if err != nil {
 		return nil, err
 	}
-	if notMod {
-		if have == nil || version != haveVer {
-			return nil, fmt.Errorf("shard answered not-modified for version %d we do not hold: %w", version, ErrShardProtocol)
+	switch {
+	case f.Delta != nil:
+		snap, err := r.idx.CatchUp(f.Delta, f.Version)
+		if err != nil {
+			return nil, fmt.Errorf("snapshot delta: %v: %w", err, ErrShardProtocol)
 		}
-		return have, nil
+		c.deltas.Add(1)
+		return snap, nil
+	case f.Blob == nil:
+		return r.idx.Current(), nil // not modified
 	}
-	idx, err := persist.DecodeSnapshot(blob)
+	idx, err := persist.DecodeSnapshot(f.Blob)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot blob: %v: %w", err, ErrShardProtocol)
 	}
 	snap := idx.Current()
-	if snap.Version() != version {
-		return nil, fmt.Errorf("snapshot blob carries version %d, response header %d: %w", snap.Version(), version, ErrShardProtocol)
+	if snap.Version() != f.Version {
+		return nil, fmt.Errorf("snapshot blob carries version %d, response header %d: %w", snap.Version(), f.Version, ErrShardProtocol)
 	}
 	if snap.Family() != c.family || snap.K() != c.opt.K || snap.L() != c.opt.Tables {
 		return nil, fmt.Errorf("snapshot blob hashes with a different identity: %w", ErrShardProtocol)
 	}
+	if snap.N() < base.N {
+		return nil, fmt.Errorf("shard sent a full snapshot of %d vectors (incarnation %#x), fewer than the %d already read (incarnation %#x): %w",
+			snap.N(), f.Incarnation, base.N, r.inc, ErrShardProtocol)
+	}
+	r.inc, r.idx = f.Incarnation, idx
 	return snap, nil
 }
 
@@ -220,11 +251,6 @@ func (c *RemoteCollection) fetchShard(s int, have *lsh.Snapshot) (*lsh.Snapshot,
 // with that shard's typed error.
 func (c *RemoteCollection) capture() (*lsh.GroupSnapshot, error) {
 	S := len(c.clients)
-	c.mu.Lock()
-	have := make([]*lsh.Snapshot, S)
-	copy(have, c.snaps)
-	c.mu.Unlock()
-
 	snaps := make([]*lsh.Snapshot, S)
 	errs := make([]error, S)
 	var wg sync.WaitGroup
@@ -232,7 +258,7 @@ func (c *RemoteCollection) capture() (*lsh.GroupSnapshot, error) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			snaps[s], errs[s] = c.fetchShard(s, have[s])
+			snaps[s], errs[s] = c.fetchShard(s)
 		}(s)
 	}
 	wg.Wait()
@@ -241,16 +267,6 @@ func (c *RemoteCollection) capture() (*lsh.GroupSnapshot, error) {
 			return nil, fmt.Errorf("lshjoin: shard %d (%s): %w", s, c.clients[s].Addr(), err)
 		}
 	}
-	// Advance the cache, per shard and forward only: shard versions are
-	// monotone, so concurrent captures can only race each other toward
-	// newer versions, never adopt an older snapshot over a newer one.
-	c.mu.Lock()
-	for s, snap := range snaps {
-		if c.snaps[s] == nil || snap.Version() > c.snaps[s].Version() {
-			c.snaps[s] = snap
-		}
-	}
-	c.mu.Unlock()
 	gs, err := lsh.NewGroupSnapshot(snaps)
 	if err != nil {
 		return nil, fmt.Errorf("lshjoin: %v: %w", err, ErrShardProtocol)

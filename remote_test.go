@@ -6,6 +6,7 @@ import (
 	"math"
 	"net"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,19 +18,30 @@ import (
 func startShardServers(t *testing.T, S int, opt Options) []string {
 	t.Helper()
 	addrs := make([]string, S)
-	for s := 0; s < S; s++ {
-		srv, err := NewShardServer(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[s] = ln.Addr().String()
-		errc := make(chan error, 1)
-		go func() { errc <- srv.Serve(ln) }()
-		t.Cleanup(func() {
+	for s := range addrs {
+		_, addrs[s], _ = serveShard(t, "127.0.0.1:0", opt)
+	}
+	return addrs
+}
+
+// serveShard runs a shard server on addr ("127.0.0.1:0" picks a port) and
+// returns it, its address and a stop function. Stopping is idempotent, and
+// the test's cleanup stops the server too.
+func serveShard(t *testing.T, addr string, opt Options) (*ShardServer, string, func()) {
+	t.Helper()
+	srv, err := NewShardServer(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	var once sync.Once
+	stop := func() {
+		once.Do(func() {
 			if err := srv.Close(); err != nil {
 				t.Errorf("close shard server: %v", err)
 			}
@@ -38,7 +50,8 @@ func startShardServers(t *testing.T, S int, opt Options) []string {
 			}
 		})
 	}
-	return addrs
+	t.Cleanup(stop)
+	return srv, ln.Addr().String(), stop
 }
 
 // fastRemote keeps degradation tests quick: short timeouts, no retries.

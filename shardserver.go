@@ -14,8 +14,9 @@ import (
 
 // ShardServer owns one shard of a distributed collection — a single LSH
 // index, optionally durable via Options.Dir — and serves it over the wire
-// protocol (see DESIGN.md): streamed ingest, snapshot fetches with a
-// not-modified fast path, summary digests and server-side sample batches.
+// protocol (see DESIGN.md): streamed ingest, snapshot fetches that send a
+// coordinator only what its replica lacks, summary digests and server-side
+// sample batches.
 // Point a RemoteCollection at S shard servers sharing one hashing identity
 // and its estimates are bit-equal to an in-process ShardedCollection over
 // the same vectors.
