@@ -360,39 +360,50 @@ func runPerf(outPath string) (*perfReport, error) {
 			st.Close()
 		}
 	})
-	add("recover_replay_1000", func(b *testing.B) {
-		dir, err := os.MkdirTemp("", "vsjbench-replay-")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		ix, err := lsh.Build(data, lsh.NewSimHash(23), k, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st, err := persist.Create(faultfs.OS{}, dir, ix)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, v := range perfData(1000, dims, nnz, 29) {
-			ix.Insert(v)
-		}
-		ix.Snapshot() // publish: flushes and fsyncs the 1000-record delta log
-		if err := st.Close(); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rx, st, err := persist.Open(faultfs.OS{}, dir)
+	// recoverReplay times persist.Open of a store whose delta log holds
+	// 1000 inserts, published once at the end or, with publishEach, one by
+	// one as Options.PublishEvery 1 logs them: 1000 records under 1000
+	// publish markers.
+	recoverReplay := func(publishEach bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			dir, err := os.MkdirTemp("", "vsjbench-replay-")
 			if err != nil {
 				b.Fatal(err)
 			}
-			if rx.N() != n+1000 {
-				b.Fatalf("recovered %d vectors, want %d", rx.N(), n+1000)
+			defer os.RemoveAll(dir)
+			ix, err := lsh.Build(data, lsh.NewSimHash(23), k, 1)
+			if err != nil {
+				b.Fatal(err)
 			}
-			st.Close()
+			st, err := persist.Create(faultfs.OS{}, dir, ix)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, v := range perfData(1000, dims, nnz, 29) {
+				ix.Insert(v)
+				if publishEach {
+					ix.Snapshot()
+				}
+			}
+			want := ix.Snapshot() // publish: flushes and fsyncs the delta log
+			if err := st.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rx, st, err := persist.Open(faultfs.OS{}, dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := rx.Current(); got.N() != want.N() || got.Version() != want.Version() {
+					b.Fatalf("recovered %d vectors at version %d, want %d at %d", got.N(), got.Version(), want.N(), want.Version())
+				}
+				st.Close()
+			}
 		}
-	})
+	}
+	add("recover_replay_1000", recoverReplay(false))
+	add("recover_replay_publish_each_1000", recoverReplay(true)) // not gated
 
 	// Durable cross-join hot paths: checkpointing both sides' shard stores
 	// (the cost CrossJoin.Close pays), and recovering the whole two-sided

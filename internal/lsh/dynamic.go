@@ -236,15 +236,17 @@ func (x *Index) InsertBatch(vs []vecmath.Vector) int {
 }
 
 // CatchUp advances a replica of another index — a coordinator's copy of a
-// shard — to the source's published state. vs must be the vectors the
-// source holds past this index's current ones, in id order. They are
-// appended as InsertBatch appends them, signed by the batch engine, so no
-// bucket keys need to travel with them, and published as one version
-// stamped version, the source's own. Publish equivalence makes the result
-// identical to the source's snapshot at that version, draw for draw,
-// however the source split the vectors into versions; the persist
-// package's FuzzCatchUpMatchesRestore pins this. version must be above the
-// current one, vs must not be empty, and nothing may be pending.
+// shard, or a durable store's checkpoint replaying its delta log — to the
+// source's published state. vs must be the vectors the source holds past
+// this index's current ones, in id order. They are appended as InsertBatch
+// appends them, signed by the batch engine, so no bucket keys need to
+// travel with them, and published as one version stamped version, the
+// source's own. Publish equivalence makes the result identical to the
+// source's snapshot at that version, draw for draw, however the source
+// split the vectors into versions; the persist package's
+// FuzzCatchUpMatchesRestore and FuzzReplayMatchesStepwise pin this.
+// version must be above the current one, vs must not be empty, and
+// nothing may be pending.
 func (x *Index) CatchUp(vs []vecmath.Vector, version uint64) (*Snapshot, error) {
 	if len(vs) == 0 {
 		return nil, fmt.Errorf("lsh: catch-up to version %d carries no vectors", version)
@@ -259,7 +261,17 @@ func (x *Index) CatchUp(vs []vecmath.Vector, version uint64) (*Snapshot, error) 
 		return nil, fmt.Errorf("lsh: catch-up with %d inserts pending", len(x.pendData))
 	}
 	x.appendLocked(vs, sigs)
-	return x.publishLocked(version), nil
+	s := x.publishLocked(version)
+	// A run can be far longer than any delta published after it: drop its
+	// pending backing arrays rather than hold them for the life of the index.
+	x.pendData = nil
+	for t := range x.pend64 {
+		x.pend64[t] = nil
+	}
+	for t := range x.pendStr {
+		x.pendStr[t] = nil
+	}
+	return s, nil
 }
 
 // signBatch signs vs outside the writer lock: the signatures are a pure

@@ -157,3 +157,39 @@ func TestCatchUpStampsVersion(t *testing.T) {
 		t.Fatalf("refused catch-ups moved the replica to (v%d, n%d)", cur.Version(), cur.N())
 	}
 }
+
+// A catch-up run can be far longer than any delta published after it — a
+// store recovering a 10k-vector delta log, a replica's first catch-up — so
+// CatchUp must not leave the run's pending backing arrays alive for the
+// life of the index, in either key mode.
+func TestCatchUpReleasesRun(t *testing.T) {
+	const run = 1000
+	data := randData(40+run, 200, 6, 83)
+	for _, k := range []int{8, 70} { // narrow and wide bucket keys
+		x, err := Build(data[:40], NewSimHash(84), k, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.CatchUp(data[40:], 2); err != nil {
+			t.Fatal(err)
+		}
+		if c := cap(x.pendData); c >= run {
+			t.Errorf("k=%d: pending vectors keep a backing array of %d after the catch-up", k, c)
+		}
+		for ti := range x.pend64 {
+			if c := cap(x.pend64[ti]); c >= run {
+				t.Errorf("k=%d table %d: pending keys keep a backing array of %d", k, ti, c)
+			}
+		}
+		for ti := range x.pendStr {
+			if c := cap(x.pendStr[ti]); c >= run {
+				t.Errorf("k=%d table %d: pending keys keep a backing array of %d", k, ti, c)
+			}
+		}
+		// The released index keeps writing.
+		id := x.Insert(data[0])
+		if s := x.Snapshot(); id != 40+run || s.N() != 41+run || s.Version() != 3 {
+			t.Fatalf("k=%d: insert after catch-up got id %d, (n%d, v%d)", k, id, s.N(), s.Version())
+		}
+	}
+}

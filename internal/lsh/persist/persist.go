@@ -15,10 +15,12 @@
 // off the index's write hook (lsh.WriteHook): inserts append records to an
 // in-memory buffer, and each publish appends a marker, writes the buffer to
 // the log and fsyncs it. Recovery (Open) is therefore pure replay: load
-// snap-<v>, re-insert the log's records, and cut versions at the markers —
-// which reproduces the exact merge sequence of the original process, so the
-// reopened index is deep-equal to the last durable publish, SamplePair
-// draw-for-draw included.
+// snap-<v>, then apply every logged vector up to the last publish marker as
+// one lsh.Index.CatchUp stamped with that marker's version; vectors after
+// it stay pending. Only the last durable publish can be observed after a
+// crash, and publish equivalence — the same vectors published in any split
+// build the same version — makes the reopened index deep-equal to it,
+// SamplePair draw-for-draw included.
 //
 // Checkpoint rotation runs off the publish path. When RetainedBytes — the
 // record bytes a recovery would replay — outgrows the threshold, the
@@ -27,7 +29,7 @@
 // hands the published snapshot to a per-store checkpointer goroutine that
 // encodes and commits snap-<v> + MANIFEST in the background. Until that
 // commit lands, the durable state is a chain — checkpoint, sealed log(s),
-// live log — and Open replays the chain link by link: a sealed log ends
+// live log — and Open collects the chain link by link: a sealed log ends
 // with the publish marker of the next link's base. Publish latency therefore
 // stays flat at "append + fsync" no matter how large snapshots grow.
 //
@@ -192,69 +194,75 @@ func Open(fsys faultfs.FS, dir string) (*lsh.Index, *Store, error) {
 	}
 
 	st := &Store{
-		fs: fsys, dir: dir,
-		walBase: v, durable: v, ckptVer: v,
+		fs: fsys, dir: dir, ckptVer: v,
 		checkpointBytes: DefaultCheckpointBytes,
 	}
-	// Replay the log chain. A background checkpoint that had not committed
-	// by the crash leaves the manifest one or more log switches behind: the
-	// log at the manifest version is sealed (its final record is the
-	// publish marker of the next link's base) and the chain continues in
-	// wal-<that version>, ending at the live log.
-	for base := v; ; {
-		wpath := filepath.Join(dir, walName(base))
-		wdata, err := fsys.ReadFile(wpath)
+	// Collect the log chain's records. A background checkpoint that had not
+	// committed by the crash leaves the manifest one or more log switches
+	// behind: the log at the manifest version is sealed (its final record
+	// is the publish marker of the next link's base) and the chain
+	// continues in wal-<that version>, ending at the live log.
+	run := logRun{next: idx.Current().N(), version: v}
+	base := v
+	var wdata []byte
+	var validLen int
+	var torn bool
+	for {
+		wdata, err = fsys.ReadFile(filepath.Join(dir, walName(base)))
 		switch {
 		case faultfs.IsNotExist(err):
 			wdata = nil // crashed between manifest/switch and log creation: empty log
 		case err != nil:
 			return nil, nil, fmt.Errorf("persist: open %s: %w", dir, err)
 		}
-		recs, validLen, err := scanWAL(wdata, base)
-		if err != nil {
+		var recs []walRec
+		if recs, validLen, err = scanWAL(wdata, base); err != nil {
 			return nil, nil, err
 		}
-		if err := replay(idx, st, recs); err != nil {
+		if err := run.add(recs); err != nil {
 			return nil, nil, err
 		}
 		if validLen > walHeaderLen {
 			st.retained += int64(validLen - walHeaderLen)
 		}
-		torn := validLen < len(wdata) || len(wdata) < walHeaderLen
-		if next := st.durable; next != base {
-			if _, err := fsys.ReadFile(filepath.Join(dir, walName(next))); err == nil {
-				// A successor exists, so this log was sealed by a log
-				// switch and never appended to again; every byte of it was
-				// fsynced. A torn tail here is damage, not a crash.
-				if torn {
-					return nil, nil, corrupt("persist: sealed delta log %s has a torn tail", walName(base))
-				}
-				base = next
-				continue
-			} else if !faultfs.IsNotExist(err) {
-				return nil, nil, fmt.Errorf("persist: open %s: %w", dir, err)
-			}
+		torn = validLen < len(wdata) || len(wdata) < walHeaderLen
+		next := run.version
+		if next == base {
+			break
 		}
-		// Live tail of the chain. Make the truncation durable before
-		// appending anything: rewrite the valid prefix (or a fresh header)
-		// atomically, then reopen for append.
-		if torn {
-			prefix := wdata[:validLen]
-			if validLen == 0 {
-				prefix = appendWalHeader(nil, base)
-			}
-			if err := st.writeFileSync(walName(base), prefix); err != nil {
-				return nil, nil, err
-			}
-			st.walLen = len(prefix)
-		} else {
-			st.walLen = validLen
-		}
-		st.walBase = base
-		if st.wal, err = fsys.Append(wpath); err != nil {
+		if _, err := fsys.ReadFile(filepath.Join(dir, walName(next))); faultfs.IsNotExist(err) {
+			break
+		} else if err != nil {
 			return nil, nil, fmt.Errorf("persist: open %s: %w", dir, err)
 		}
-		break
+		// A successor exists, so this log was sealed by a log switch and
+		// never appended to again; every byte of it was fsynced. A torn
+		// tail here is damage, not a crash.
+		if torn {
+			return nil, nil, corrupt("persist: sealed delta log %s has a torn tail", walName(base))
+		}
+		base = next
+	}
+	if err := run.apply(idx); err != nil {
+		return nil, nil, err
+	}
+	st.durable = run.version
+	// Live tail of the chain. Make the truncation durable before appending
+	// anything: rewrite the valid prefix (or a fresh header) atomically,
+	// then reopen for append.
+	st.walBase, st.walLen = base, validLen
+	if torn {
+		prefix := wdata[:validLen]
+		if validLen == 0 {
+			prefix = appendWalHeader(nil, base)
+		}
+		if err := st.writeFileSync(walName(base), prefix); err != nil {
+			return nil, nil, err
+		}
+		st.walLen = len(prefix)
+	}
+	if st.wal, err = fsys.Append(filepath.Join(dir, walName(base))); err != nil {
+		return nil, nil, fmt.Errorf("persist: open %s: %w", dir, err)
 	}
 	// Every log switch seals its predecessor with a publish marker, so a
 	// log based past the recovered version means the replayable prefix of
@@ -274,29 +282,53 @@ func Open(fsys faultfs.FS, dir string) (*lsh.Index, *Store, error) {
 	return idx, st, nil
 }
 
-// replay applies the decoded delta-log records to the checkpointed index,
-// verifying that ids and versions land exactly where the log says they did
-// — any disagreement means the log and snapshot are not from the same
-// history.
-func replay(idx *lsh.Index, st *Store, recs []walRec) error {
+// logRun is the record stream of a delta-log chain, collected link by link
+// on top of the checkpoint and checked as it grows: every insert or batch
+// continues the id sequence, and every publish marker names the next
+// version and publishes at least one vector — what the original process's
+// publishes did, so any disagreement means the log and snapshot are not
+// from the same history.
+type logRun struct {
+	next      int    // id the next insert must carry
+	version   uint64 // version of the last marker, the checkpoint's before one
+	vecs      []vecmath.Vector
+	published int // len(vecs) at the last marker
+}
+
+func (r *logRun) add(recs []walRec) error {
 	for _, rec := range recs {
 		switch rec.kind {
-		case recInsert:
-			if id := idx.Insert(rec.vecs[0]); id != rec.id {
-				return corrupt("persist: replayed insert got id %d, log says %d", id, rec.id)
+		case recInsert, recBatch:
+			if rec.id != r.next {
+				return corrupt("persist: delta log record carries id %d, replay expects %d", rec.id, r.next)
 			}
-		case recBatch:
-			if first := idx.InsertBatch(rec.vecs); first != rec.id {
-				return corrupt("persist: replayed batch got first id %d, log says %d", first, rec.id)
-			}
+			r.next += len(rec.vecs)
+			r.vecs = append(r.vecs, rec.vecs...)
 		case recPublish:
-			s := idx.Snapshot()
-			if s.Version() != rec.version {
-				return corrupt("persist: replayed publish got version %d, log says %d", s.Version(), rec.version)
+			if rec.version != r.version+1 {
+				return corrupt("persist: publish marker names version %d after %d", rec.version, r.version)
 			}
-			st.durable = rec.version
+			if len(r.vecs) == r.published {
+				return corrupt("persist: publish marker of version %d has nothing to publish", rec.version)
+			}
+			r.version, r.published = rec.version, len(r.vecs)
 		}
 	}
+	return nil
+}
+
+// apply recovers the run on idx. No version between the checkpoint and the
+// last marker can be observed after recovery, so the run up to that marker
+// is one catch-up stamped with its version; publish equivalence makes the
+// result identical to publishing marker by marker, SamplePair stream
+// included. The vectors after it were never published and stay pending.
+func (r *logRun) apply(idx *lsh.Index) error {
+	if r.published > 0 {
+		if _, err := idx.CatchUp(r.vecs[:r.published], r.version); err != nil {
+			return corrupt("persist: replaying the delta log: %v", err)
+		}
+	}
+	idx.InsertBatch(r.vecs[r.published:])
 	return nil
 }
 
@@ -746,15 +778,25 @@ func OpenGroup(fsys faultfs.FS, dir string) (*lsh.ShardGroup, []*Store, GroupMet
 		return nil, nil, meta, corrupt("persist: %v", err)
 	}
 	idxs := make([]*lsh.Index, meta.Shards)
-	stores := make([]*Store, meta.Shards)
-	for s := 0; s < meta.Shards; s++ {
-		if idxs[s], stores[s], err = Open(fsys, ShardDir(dir, s)); err != nil {
-			return nil, nil, meta, fmt.Errorf("shard %d: %w", s, err)
+	stores := make([]*Store, 0, meta.Shards)
+	// fail releases the shard stores already opened, so a failed open
+	// leaves no log handle behind.
+	fail := func(err error) (*lsh.ShardGroup, []*Store, GroupMeta, error) {
+		for _, st := range stores {
+			st.Close()
 		}
+		return nil, nil, meta, err
+	}
+	for s := 0; s < meta.Shards; s++ {
+		idx, st, err := Open(fsys, ShardDir(dir, s))
+		if err != nil {
+			return fail(fmt.Errorf("shard %d: %w", s, err))
+		}
+		idxs[s], stores = idx, append(stores, st)
 	}
 	g, err := lsh.NewShardGroupFromIndexes(family, meta.K, meta.Ell, idxs)
 	if err != nil {
-		return nil, nil, meta, corrupt("persist: %v", err)
+		return fail(corrupt("persist: %v", err))
 	}
 	meta.Versions = groupVersions(stores)
 	return g, stores, meta, nil

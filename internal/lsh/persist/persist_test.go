@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"lshjoin/internal/faultfs"
@@ -758,6 +759,139 @@ func TestGroupEmptyShard(t *testing.T) {
 	for _, st := range stores2 {
 		st.Close()
 	}
+}
+
+// handleFS counts the file handles left open on a MemFS: every Create or
+// Append handle until its first Close.
+type handleFS struct {
+	*faultfs.MemFS
+	mu   sync.Mutex
+	open int
+}
+
+func (h *handleFS) Create(name string) (faultfs.File, error) { return h.track(h.MemFS.Create(name)) }
+func (h *handleFS) Append(name string) (faultfs.File, error) { return h.track(h.MemFS.Append(name)) }
+
+func (h *handleFS) track(f faultfs.File, err error) (faultfs.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	h.mu.Lock()
+	h.open++
+	h.mu.Unlock()
+	return &trackedFile{File: f, fs: h}, nil
+}
+
+func (h *handleFS) openHandles() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.open
+}
+
+type trackedFile struct {
+	faultfs.File
+	fs     *handleFS
+	closed bool
+}
+
+func (f *trackedFile) Close() error {
+	if !f.closed {
+		f.closed = true
+		f.fs.mu.Lock()
+		f.fs.open--
+		f.fs.mu.Unlock()
+	}
+	return f.File.Close()
+}
+
+// TestFailedOpenClosesStores: a group or cross open that fails after some
+// shard stores recovered must close them, or every retried open leaks
+// their log handles.
+func TestFailedOpenClosesStores(t *testing.T) {
+	newGroup := func(t *testing.T, seed uint64) *lsh.ShardGroup {
+		g, err := lsh.NewShardGroup(testData(30, seed), lsh.NewSimHash(37), 6, 1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	closeAll := func(t *testing.T, stores []*Store) {
+		for _, st := range stores {
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	groupStore := func(t *testing.T) *faultfs.MemFS {
+		mem := faultfs.NewMem()
+		stores, err := CreateGroup(mem, "grp", newGroup(t, 181))
+		if err != nil {
+			t.Fatal(err)
+		}
+		closeAll(t, stores)
+		return mem
+	}
+
+	t.Run("group shard corrupt", func(t *testing.T) {
+		mem := groupStore(t)
+		writeRaw(t, mem, filepath.Join(ShardDir("grp", 2), manifestName), []byte("not a manifest"))
+		fsys := &handleFS{MemFS: mem}
+		if _, _, _, err := OpenGroup(fsys, "grp"); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("err = %v, want ErrCorrupt", err)
+		}
+		if n := fsys.openHandles(); n != 0 {
+			t.Fatalf("failed OpenGroup left %d handles open", n)
+		}
+	})
+
+	t.Run("group shape mismatch", func(t *testing.T) {
+		mem := groupStore(t)
+		// Shard 2 becomes a valid store hashed with another k, so every
+		// shard opens and the group assembly fails.
+		sd := ShardDir("grp", 2)
+		names, err := mem.ReadDir(sd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if err := mem.Remove(filepath.Join(sd, name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		idx, err := lsh.Build(testData(5, 183), lsh.NewSimHash(37), 5, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := Create(mem, sd, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		closeAll(t, []*Store{st})
+		fsys := &handleFS{MemFS: mem}
+		if _, _, _, err := OpenGroup(fsys, "grp"); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("err = %v, want ErrCorrupt", err)
+		}
+		if n := fsys.openHandles(); n != 0 {
+			t.Fatalf("failed OpenGroup left %d handles open", n)
+		}
+	})
+
+	t.Run("cross right side corrupt", func(t *testing.T) {
+		mem := faultfs.NewMem()
+		ls, rs, err := CreateCross(mem, "xj", newGroup(t, 185), newGroup(t, 187))
+		if err != nil {
+			t.Fatal(err)
+		}
+		closeAll(t, append(ls, rs...))
+		writeRaw(t, mem, filepath.Join(ShardDir(CrossSideDir("xj", false), 1), manifestName), []byte("not a manifest"))
+		fsys := &handleFS{MemFS: mem}
+		if _, _, _, _, _, err := OpenCross(fsys, "xj"); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("err = %v, want ErrCorrupt", err)
+		}
+		if n := fsys.openHandles(); n != 0 {
+			t.Fatalf("failed OpenCross left %d handles open", n)
+		}
+	})
 }
 
 // TestCrossRoundtrip: a two-sided store reopens as a pair of groups whose
