@@ -80,14 +80,14 @@ func runPerf(outPath string) (*perfReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	est, err := core.NewLSHSS(snap1, nil)
+	est, err := core.NewMergedLSHSS(lsh.SingleSnapshot(snap1), nil)
 	if err != nil {
 		return nil, err
 	}
 	// est's stratum holds a few pairs, far fewer than its m_H = n draws,
 	// so SampleH scores it flat; est8's (k = 8) holds about ten times m_H,
 	// so its draws descend the weight tree.
-	est8, err := core.NewLSHSS(idx.Snapshot(), nil)
+	est8, err := core.NewMergedLSHSS(lsh.SingleSnapshot(idx.Snapshot()), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -189,7 +189,7 @@ func (cj *CrossJoin) EstimateJoinSizeBudget(tau float64, mH, mL int) (float64, e
 	if err != nil {
 		return 0, err
 	}
-	var opts []core.GeneralOption
+	var opts []core.LSHSSOption
 	if mH > 0 || mL > 0 {
 		n := (lgs.N() + rgs.N()) / 2
 		if mH <= 0 {
@@ -198,9 +198,9 @@ func (cj *CrossJoin) EstimateJoinSizeBudget(tau float64, mH, mL int) (float64, e
 		if mL <= 0 {
 			mL = n
 		}
-		opts = append(opts, core.WithGeneralSampleSizes(mH, mL))
+		opts = append(opts, core.WithSampleSizes(mH, mL))
 	}
-	est, err := core.NewGeneralLSHSSOver(bs, cj.sim, opts...)
+	est, err := core.NewGeneralLSHSS(bs, opts...)
 	if err != nil {
 		return 0, err
 	}
@@ -217,7 +217,7 @@ func (cj *CrossJoin) EstimateJoinSizeCurve(taus []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	est, err := core.NewGeneralLSHSSOver(bs, cj.sim)
+	est, err := core.NewGeneralLSHSS(bs)
 	if err != nil {
 		return nil, err
 	}

@@ -88,7 +88,7 @@ func newStaticCrossJoin(t *testing.T, left, right []Vector, opt Options) *static
 func (sj *staticCrossJoin) estimate(t *testing.T, tau float64, mH, mL int) float64 {
 	t.Helper()
 	sj.seedCtr++
-	var opts []core.GeneralOption
+	var opts []core.LSHSSOption
 	if mH > 0 || mL > 0 {
 		n := (len(sj.left) + len(sj.right)) / 2
 		if mH <= 0 {
@@ -97,9 +97,9 @@ func (sj *staticCrossJoin) estimate(t *testing.T, tau float64, mH, mL int) float
 		if mL <= 0 {
 			mL = n
 		}
-		opts = append(opts, core.WithGeneralSampleSizes(mH, mL))
+		opts = append(opts, core.WithSampleSizes(mH, mL))
 	}
-	est, err := core.NewGeneralLSHSS(sj.bp, sj.sim, opts...)
+	est, err := core.NewGeneralLSHSS(sj.bp, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,8 +134,8 @@ func (o *estOpts) ssOptions(n int) []core.LSHSSOption {
 
 // buildEstimator constructs the requested algorithm over a captured
 // shard-snapshot vector — the one algorithm switch behind every collection
-// surface. The merged constructors all delegate to their single-snapshot
-// counterparts at S = 1, so a one-shard capture is draw-for-draw the
+// surface. At S = 1 the core constructors stratify by the shard
+// snapshot's own tables, so a one-shard capture is draw-for-draw the
 // unsharded path; at S > 1 the LSH-SS family, the median and
 // virtual-bucket estimators sample through the merged per-table weight
 // views (per-shard N_H plus cross-shard bipartite N_H — exactly the union

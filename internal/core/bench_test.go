@@ -32,7 +32,7 @@ func BenchmarkSampleH(b *testing.B) {
 		tab := snap.Table(0)
 		nh := tab.NH()
 		for _, cover := range []int{1, 2, 25} {
-			e, err := NewLSHSS(snap, nil, WithSampleSizes(cover*int(nh), 1))
+			e, err := NewMergedLSHSS(lsh.SingleSnapshot(snap), nil, WithSampleSizes(cover*int(nh), 1))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -42,7 +42,7 @@ func BenchmarkSampleH(b *testing.B) {
 			b.Run(name+"/flat", func(b *testing.B) {
 				rng := xrand.New(1)
 				for i := 0; i < b.N; i++ {
-					e.drawH(nh, rng, newFlatH(tab, nh, 0.5, e.sim, e.view).draw)
+					e.drawH(nh, rng, newFlatH(tab, nh, 0.5, e.sim, e.data).draw)
 				}
 			})
 			b.Run(name+"/descent", func(b *testing.B) {

@@ -11,6 +11,18 @@ import (
 // EstimateCurve estimates the whole selectivity curve J(τ) for a grid of
 // thresholds from a single sampling pass — the query-optimizer use case
 // where one similarity predicate is costed at many candidate thresholds.
+// See params.curve for how the pass becomes Ĵ(τ).
+func (e *LSHSS) EstimateCurve(taus []float64, rng *xrand.RNG) ([]float64, error) {
+	notSame := func(i, j int) bool { return !e.strat.SameBucket(i, j) }
+	return e.curve(taus, e.strat.NH(), e.strat.NL(), e.strat.M(),
+		func() (int, int, bool) { return e.strat.SamplePair(rng) },
+		func() (int, int, bool) { return sample.RejectPair(rng, len(e.data), notSame, maxReject) },
+		func(i, j int) float64 { return e.sim(e.data[i], e.data[j]) })
+}
+
+// curve runs EstimateCurve's one sampling pass and turns it into Ĵ(τ) per
+// threshold. drawH and drawL draw the next stratum-H and stratum-L pair, or
+// report the sampler exhausted; sim scores a pair.
 //
 // SampleH draws m_H stratum-H pairs once and records their similarities;
 // Ĵ_H(τ) is the recorded count ≥ τ scaled by N_H/m_H. SampleL draws one
@@ -18,12 +30,11 @@ import (
 // stopping rule per threshold: if the δ-th success at level τ occurred at
 // draw i_τ, the adaptive estimator would have stopped there, giving
 // Ĵ_L(τ) = δ·N_L/i_τ; thresholds that never reach δ successes fall back to
-// the safe lower bound (or the dampened scale-up, matching the estimator's
-// configuration).
+// the safe lower bound (or the scale-up the estimator is configured with).
 //
 // The result is aligned with taus and is non-increasing after sorting taus
 // ascending, matching the monotonicity of the true curve.
-func (e *LSHSS) EstimateCurve(taus []float64, rng *xrand.RNG) ([]float64, error) {
+func (p *params) curve(taus []float64, nh, nl, m int64, drawH, drawL func() (i, j int, ok bool), sim func(i, j int) float64) ([]float64, error) {
 	if len(taus) == 0 {
 		return nil, fmt.Errorf("core: empty threshold grid")
 	}
@@ -32,83 +43,45 @@ func (e *LSHSS) EstimateCurve(taus []float64, rng *xrand.RNG) ([]float64, error)
 			return nil, err
 		}
 	}
-	// Sorted view with back-mapping so the sampling pass is shared.
-	order := make([]int, len(taus))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return taus[order[a]] < taus[order[b]] })
-
-	// One SampleH pass: record similarities.
-	nh := e.strat.NH()
-	simsH := make([]float64, 0, e.mH)
-	if nh > 0 {
-		for s := 0; s < e.mH; s++ {
-			i, j, ok := e.strat.SamplePair(rng)
+	record := func(n int64, budget int, draw func() (i, j int, ok bool)) []float64 {
+		sims := make([]float64, 0, budget)
+		for n > 0 && len(sims) < budget {
+			i, j, ok := draw()
 			if !ok {
 				break
 			}
-			simsH = append(simsH, e.sim(e.view.At(i), e.view.At(j)))
+			sims = append(sims, sim(i, j))
 		}
+		return sims
 	}
+	simsH := record(nh, p.mH, drawH)
+	simsL := record(nl, p.mL, drawL)
 	sort.Float64s(simsH)
 
-	// One SampleL stream: record similarities in draw order.
-	nl := e.strat.NL()
-	simsL := make([]float64, 0, e.mL)
-	if nl > 0 {
-		notSame := func(i, j int) bool { return !e.strat.SameBucket(i, j) }
-		for s := 0; s < e.mL; s++ {
-			i, j, ok := sample.RejectPair(rng, e.n, notSame, e.maxReject)
-			if !ok {
-				break
-			}
-			simsL = append(simsL, e.sim(e.view.At(i), e.view.At(j)))
-		}
-	}
-
 	out := make([]float64, len(taus))
-	for _, idx := range order {
-		tau := taus[idx]
-		// Ĵ_H(τ): binary search over the sorted stratum-H similarities.
+	for x, tau := range taus {
 		var jh float64
 		if len(simsH) > 0 {
 			hits := len(simsH) - sort.SearchFloat64s(simsH, tau)
-			jh = float64(hits) * float64(nh) / float64(e.mH)
+			jh = float64(hits) * float64(nh) / float64(p.mH)
 		}
-		// Ĵ_L(τ): replay the adaptive stopping rule on the recorded stream.
 		var jl float64
 		if nl > 0 {
-			hits := 0
-			stop := -1
-			for i, s := range simsL {
+			// Replay the adaptive loop: stop at the δ-th success.
+			var res sample.AdaptiveResult
+			for _, s := range simsL {
+				res.Taken++
 				if s >= tau {
-					hits++
-					if hits == e.delta {
-						stop = i + 1 // the adaptive loop stops here
+					res.Hits++
+					if res.Hits == p.delta {
+						res.Reliable = true
 						break
 					}
 				}
 			}
-			switch {
-			case stop > 0:
-				jl = float64(e.delta) * float64(nl) / float64(stop)
-			case e.alwaysScale:
-				jl = float64(hits) * float64(nl) / float64(e.mL)
-			default:
-				cs := 0.0
-				switch e.damp {
-				case DampOff:
-					jl = float64(hits)
-				case DampAuto:
-					cs = float64(hits) / float64(e.delta)
-					jl = float64(hits) * cs * float64(nl) / float64(e.mL)
-				case DampConst:
-					jl = float64(hits) * e.cs * float64(nl) / float64(e.mL)
-				}
-			}
+			jl = p.scaleL(res, float64(nl))
 		}
-		out[idx] = clampEstimate(jh+jl, float64(e.strat.M()))
+		out[x] = clampEstimate(jh+jl, float64(m))
 	}
 	return out, nil
 }

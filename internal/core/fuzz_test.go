@@ -167,7 +167,7 @@ func FuzzFlatSampleHMatchesDescent(f *testing.F) {
 		mH := max(int(2*nh*int64(1+data[1]>>6))+int(data[1]&63), 1)
 		tau := float64(data[2]%20+1) / 20
 		seed := uint64(data[3])
-		flat, err := NewLSHSS(snap, mode.sim, WithSampleSizes(mH, len(vecs)))
+		flat, err := NewMergedLSHSS(lsh.SingleSnapshot(snap), mode.sim, WithSampleSizes(mH, len(vecs)))
 		if err != nil {
 			t.Fatal(err)
 		}

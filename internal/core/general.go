@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
-	"lshjoin/internal/lsh"
 	"lshjoin/internal/sample"
 	"lshjoin/internal/vecmath"
 	"lshjoin/internal/xrand"
@@ -85,67 +83,28 @@ type BipartiteStratum interface {
 // GeneralLSHSS is LSH-SS for non-self joins (App. B.2.2): stratum H is the
 // set of cross pairs with equal g values (sampled through a bipartite bucket
 // matching with weight b_j·c_i), stratum L is everything else (rejection
-// sampling).
+// sampling). Pairs are scored by the stratum's own Sim, the family
+// similarity.
 type GeneralLSHSS struct {
-	bp  BipartiteStratum
-	sim SimFunc
-
-	mH, mL    int
-	delta     int
-	damp      DampMode
-	cs        float64
-	maxReject int
+	params
+	bp BipartiteStratum
 }
 
-// NewGeneralLSHSS builds the estimator over a bipartite bucket matching.
-// Defaults mirror the self-join case with n = (|U|+|V|)/2: m_H = m_L = n,
-// δ = ⌈log₂ n⌉.
-func NewGeneralLSHSS(bp *lsh.Bipartite, sim SimFunc, opts ...GeneralOption) (*GeneralLSHSS, error) {
+// NewGeneralLSHSS builds the estimator over a bipartite stratum view: one
+// lsh.Bipartite matching, or NewBipartiteStratum's view of a captured group
+// pair, which callers serving repeated estimates over an unchanged capture
+// build once. Defaults mirror the self-join case with n = (|U|+|V|)/2:
+// m_H = m_L = n, δ = ⌈log₂(n+1)⌉.
+func NewGeneralLSHSS(bp BipartiteStratum, opts ...LSHSSOption) (*GeneralLSHSS, error) {
 	if bp == nil {
-		return nil, fmt.Errorf("core: general LSH-SS needs a bipartite matching")
+		return nil, fmt.Errorf("core: general LSH-SS needs a bipartite stratum")
 	}
-	return newGeneralLSHSS(bp, sim, opts)
-}
-
-// newGeneralLSHSS binds the estimator to any bipartite stratum view — the
-// shared constructor behind the single-matching and merged cross-group
-// entry points.
-func newGeneralLSHSS(bp BipartiteStratum, sim SimFunc, opts []GeneralOption) (*GeneralLSHSS, error) {
-	if sim == nil {
-		sim = vecmath.Cosine
+	n := max((bp.LeftN()+bp.RightN())/2, 1)
+	p, err := resolveParams(n, int(math.Ceil(math.Log2(float64(n+1)))), opts)
+	if err != nil {
+		return nil, err
 	}
-	n := (bp.LeftN() + bp.RightN()) / 2
-	if n < 1 {
-		n = 1
-	}
-	e := &GeneralLSHSS{
-		bp: bp, sim: sim,
-		mH: n, mL: n,
-		delta:     int(math.Ceil(math.Log2(float64(n + 1)))),
-		damp:      DampOff,
-		cs:        1,
-		maxReject: 4096,
-	}
-	for _, opt := range opts {
-		opt(e)
-	}
-	if e.mH < 1 || e.mL < 1 || e.delta < 1 {
-		return nil, fmt.Errorf("core: invalid general LSH-SS parameters")
-	}
-	return e, nil
-}
-
-// GeneralOption customizes GeneralLSHSS.
-type GeneralOption func(*GeneralLSHSS)
-
-// WithGeneralSampleSizes overrides m_H and m_L.
-func WithGeneralSampleSizes(mH, mL int) GeneralOption {
-	return func(e *GeneralLSHSS) { e.mH, e.mL = mH, mL }
-}
-
-// WithGeneralDamp selects the dampened scale-up.
-func WithGeneralDamp(mode DampMode, cs float64) GeneralOption {
-	return func(e *GeneralLSHSS) { e.damp, e.cs = mode, cs }
+	return &GeneralLSHSS{params: p, bp: bp}, nil
 }
 
 // Name implements Estimator.
@@ -156,7 +115,6 @@ func (e *GeneralLSHSS) Estimate(tau float64, rng *xrand.RNG) (float64, error) {
 	if err := validateTau(tau); err != nil {
 		return 0, err
 	}
-	m := float64(e.bp.M())
 	// SampleH over matched buckets.
 	var jh float64
 	if nh := e.bp.NH(); nh > 0 {
@@ -176,125 +134,39 @@ func (e *GeneralLSHSS) Estimate(tau float64, rng *xrand.RNG) (float64, error) {
 	var jl float64
 	if nl := e.bp.NL(); nl > 0 {
 		res := sample.Adaptive(e.delta, e.mL, func() (bool, bool) {
-			for t := 0; t < e.maxReject; t++ {
-				u := rng.Intn(e.bp.LeftN())
-				v := rng.Intn(e.bp.RightN())
-				if e.bp.SameBucket(u, v) {
-					continue
-				}
-				return e.bp.Sim(u, v) >= tau, true
+			u, v, ok := e.rejectL(rng)
+			if !ok {
+				return false, false
 			}
-			return false, false
+			return e.bp.Sim(u, v) >= tau, true
 		})
-		switch {
-		case res.Reliable:
-			jl = float64(res.Hits) * float64(nl) / float64(res.Taken)
-		case e.damp == DampAuto:
-			jl = float64(res.Hits) * (float64(res.Hits) / float64(e.delta)) * float64(nl) / float64(e.mL)
-		case e.damp == DampConst:
-			jl = float64(res.Hits) * e.cs * float64(nl) / float64(e.mL)
-		default:
-			jl = float64(res.Hits)
+		jl = e.scaleL(res, float64(nl))
+	}
+	return clampEstimate(jh+jl, float64(e.bp.M())), nil
+}
+
+// rejectL draws a uniform stratum-L cross pair by rejection on
+// g(u) = g(v); ok is false when maxReject draws all landed in stratum H.
+func (e *GeneralLSHSS) rejectL(rng *xrand.RNG) (u, v int, ok bool) {
+	for t := 0; t < maxReject; t++ {
+		u = rng.Intn(e.bp.LeftN())
+		v = rng.Intn(e.bp.RightN())
+		if !e.bp.SameBucket(u, v) {
+			return u, v, true
 		}
 	}
-	return clampEstimate(jh+jl, m), nil
+	return 0, 0, false
 }
 
 // EstimateCurve estimates the general selectivity curve J(τ) for a grid of
 // thresholds from a single sampling pass — the cross-join analogue of
 // LSHSS.EstimateCurve, for an optimizer costing one bipartite similarity
 // predicate at many candidate thresholds.
-//
-// SampleH draws m_H stratum-H cross pairs once and records their
-// similarities; Ĵ_H(τ) is the recorded count ≥ τ scaled by N_H/m_H. SampleL
-// draws one stream of up to m_L stratum-L cross pairs and replays the
-// adaptive stopping rule per threshold, falling back to the safe lower bound
-// (or the configured dampened scale-up) where the δ-th success never
-// arrives. The result aligns with taus and is monotone non-increasing after
-// sorting taus ascending.
 func (e *GeneralLSHSS) EstimateCurve(taus []float64, rng *xrand.RNG) ([]float64, error) {
-	if len(taus) == 0 {
-		return nil, fmt.Errorf("core: empty threshold grid")
-	}
-	for _, tau := range taus {
-		if err := validateTau(tau); err != nil {
-			return nil, err
-		}
-	}
-	order := make([]int, len(taus))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return taus[order[a]] < taus[order[b]] })
-
-	// One SampleH pass: record similarities of matched-bucket cross pairs.
-	nh := e.bp.NH()
-	simsH := make([]float64, 0, e.mH)
-	if nh > 0 {
-		for s := 0; s < e.mH; s++ {
-			u, v, ok := e.bp.SamplePair(rng)
-			if !ok {
-				break
-			}
-			simsH = append(simsH, e.bp.Sim(u, v))
-		}
-	}
-	sort.Float64s(simsH)
-
-	// One SampleL stream: record similarities in draw order.
-	nl := e.bp.NL()
-	simsL := make([]float64, 0, e.mL)
-	if nl > 0 {
-	draws:
-		for s := 0; s < e.mL; s++ {
-			for t := 0; t < e.maxReject; t++ {
-				u := rng.Intn(e.bp.LeftN())
-				v := rng.Intn(e.bp.RightN())
-				if e.bp.SameBucket(u, v) {
-					continue
-				}
-				simsL = append(simsL, e.bp.Sim(u, v))
-				continue draws
-			}
-			break // rejection budget exhausted: stratum L is all but gone
-		}
-	}
-
-	out := make([]float64, len(taus))
-	for _, idx := range order {
-		tau := taus[idx]
-		var jh float64
-		if len(simsH) > 0 {
-			hits := len(simsH) - sort.SearchFloat64s(simsH, tau)
-			jh = float64(hits) * float64(nh) / float64(e.mH)
-		}
-		var jl float64
-		if nl > 0 {
-			hits := 0
-			stop := -1
-			for i, s := range simsL {
-				if s >= tau {
-					hits++
-					if hits == e.delta {
-						stop = i + 1 // the adaptive loop stops here
-						break
-					}
-				}
-			}
-			switch {
-			case stop > 0:
-				jl = float64(e.delta) * float64(nl) / float64(stop)
-			case e.damp == DampAuto:
-				jl = float64(hits) * (float64(hits) / float64(e.delta)) * float64(nl) / float64(e.mL)
-			case e.damp == DampConst:
-				jl = float64(hits) * e.cs * float64(nl) / float64(e.mL)
-			default:
-				jl = float64(hits)
-			}
-		}
-		out[idx] = clampEstimate(jh+jl, float64(e.bp.M()))
-	}
-	return out, nil
+	return e.curve(taus, e.bp.NH(), e.bp.NL(), e.bp.M(),
+		func() (int, int, bool) { return e.bp.SamplePair(rng) },
+		func() (int, int, bool) { return e.rejectL(rng) },
+		e.bp.Sim)
 }
 
 // ExactGeneralJoin counts the true cross-join size by brute force; it is the

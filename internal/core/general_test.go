@@ -64,12 +64,18 @@ func TestGeneralRSUnbiased(t *testing.T) {
 }
 
 func TestGeneralLSHSSValidation(t *testing.T) {
-	if _, err := NewGeneralLSHSS(nil, nil); err == nil {
+	if _, err := NewGeneralLSHSS(nil); err == nil {
 		t.Error("nil bipartite accepted")
 	}
 	bp, _, _ := bipartiteFixture(t)
-	if _, err := NewGeneralLSHSS(bp, nil, WithGeneralSampleSizes(0, 5)); err == nil {
+	if _, err := NewGeneralLSHSS(bp, WithSampleSizes(0, 5)); err == nil {
 		t.Error("mH=0 accepted")
+	}
+	if _, err := NewGeneralLSHSS(bp, WithDamp(DampConst, 0)); err == nil {
+		t.Error("c_s=0 accepted")
+	}
+	if _, err := NewGeneralLSHSS(bp, WithDamp(DampConst, 1.5)); err == nil {
+		t.Error("c_s=1.5 accepted")
 	}
 }
 
@@ -77,7 +83,7 @@ func TestGeneralLSHSSAccurateModerate(t *testing.T) {
 	bp, left, right := bipartiteFixture(t)
 	truth := float64(ExactGeneralJoin(left, right, nil, 0.3))
 	// m_L large enough for SampleL's reliable regime at this scale.
-	e, err := NewGeneralLSHSS(bp, nil, WithGeneralSampleSizes(300, 12000))
+	e, err := NewGeneralLSHSS(bp, WithSampleSizes(300, 12000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +101,7 @@ func TestGeneralLSHSSHighThreshold(t *testing.T) {
 	if truth < 5 {
 		t.Fatalf("planting failed: truth = %v", truth)
 	}
-	e, err := NewGeneralLSHSS(bp, nil)
+	e, err := NewGeneralLSHSS(bp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +123,7 @@ func TestGeneralLSHSSHighThreshold(t *testing.T) {
 
 func TestGeneralLSHSSBounded(t *testing.T) {
 	bp, _, _ := bipartiteFixture(t)
-	e, err := NewGeneralLSHSS(bp, nil, WithGeneralDamp(DampAuto, 0))
+	e, err := NewGeneralLSHSS(bp, WithDamp(DampAuto, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,23 +35,23 @@ const (
 	JUNumeric                  // integrates the family's p(s)^k
 )
 
-// NewJU builds the estimator over table 0 of an index snapshot.
-func NewJU(snap *lsh.Snapshot, mode JUMode) (*JU, error) {
-	if snap == nil {
-		return nil, fmt.Errorf("core: JU needs an index snapshot")
+// NewMergedJU builds the uniformity estimator over a shard-snapshot vector;
+// wrap one snapshot with lsh.SingleSnapshot. JU consumes only (M, N_H, k)
+// of table 0 and the family's collision curve, and the merged N_H equals
+// the union index's N_H exactly, so the sharded JU is equal — not just
+// close — to the single-index JU over the same corpus.
+func NewMergedJU(gs *lsh.GroupSnapshot, mode JUMode) (*JU, error) {
+	if gs == nil {
+		return nil, fmt.Errorf("core: JU needs a group snapshot")
 	}
-	tab := snap.Table(0)
-	return newJUFrom(tab.M(), tab.NH(), tab.K(), snap.Family(), mode)
-}
-
-// newJUFrom builds the estimator from the summary statistics it actually
-// consumes — JU reads nothing but (M, N_H, k) and the family's collision
-// curve, which is why a sharded group can feed it the exact merged N_H.
-func newJUFrom(m, nh int64, k int, family lsh.Family, mode JUMode) (*JU, error) {
+	st, err := stratumOf(gs, 0)
+	if err != nil {
+		return nil, err
+	}
 	if mode != JUClosedForm && mode != JUNumeric {
 		return nil, fmt.Errorf("core: unknown JU mode %d", mode)
 	}
-	return &JU{m: m, nh: nh, k: k, family: family, mode: mode}, nil
+	return &JU{m: st.M(), nh: st.NH(), k: gs.K(), family: gs.Family(), mode: mode}, nil
 }
 
 // Name implements Estimator.

@@ -20,13 +20,13 @@ func simhashIndex(t *testing.T, n int, k, ell int, dataSeed, hashSeed uint64) *l
 
 func TestJUValidation(t *testing.T) {
 	idx := simhashIndex(t, 50, 8, 1, 1, 2)
-	if _, err := NewJU(nil, JUClosedForm); err == nil {
+	if _, err := NewMergedJU(nil, JUClosedForm); err == nil {
 		t.Error("nil snapshot accepted")
 	}
-	if _, err := NewJU(idx, JUMode(99)); err == nil {
+	if _, err := NewMergedJU(lsh.SingleSnapshot(idx), JUMode(99)); err == nil {
 		t.Error("bogus mode accepted")
 	}
-	e, err := NewJU(idx, JUClosedForm)
+	e, err := NewMergedJU(lsh.SingleSnapshot(idx), JUClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestJUValidation(t *testing.T) {
 func TestJUClosedFormArithmetic(t *testing.T) {
 	idx := simhashIndex(t, 200, 10, 1, 3, 4)
 	tab := idx.Table(0)
-	e, err := NewJU(idx, JUClosedForm)
+	e, err := NewMergedJU(lsh.SingleSnapshot(idx), JUClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +77,11 @@ func TestJUNumericMatchesClosedFormForMinHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	closed, err := NewJU(idx, JUClosedForm)
+	closed, err := NewMergedJU(lsh.SingleSnapshot(idx), JUClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	numeric, err := NewJU(idx, JUNumeric)
+	numeric, err := NewMergedJU(lsh.SingleSnapshot(idx), JUNumeric)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +105,8 @@ func TestJUNumericMatchesClosedFormForMinHash(t *testing.T) {
 // ablation.
 func TestJUNumericDiffersForSimHash(t *testing.T) {
 	idx := simhashIndex(t, 300, 10, 1, 7, 8)
-	closed, _ := NewJU(idx, JUClosedForm)
-	numeric, _ := NewJU(idx, JUNumeric)
+	closed, _ := NewMergedJU(lsh.SingleSnapshot(idx), JUClosedForm)
+	numeric, _ := NewMergedJU(lsh.SingleSnapshot(idx), JUNumeric)
 	differs := false
 	for _, tau := range []float64{0.3, 0.5, 0.7} {
 		a, _ := closed.Estimate(tau, nil)
@@ -123,7 +123,7 @@ func TestJUNumericDiffersForSimHash(t *testing.T) {
 func TestJUBounded(t *testing.T) {
 	idx := simhashIndex(t, 100, 12, 1, 9, 10)
 	for _, mode := range []JUMode{JUClosedForm, JUNumeric} {
-		e, err := NewJU(idx, mode)
+		e, err := NewMergedJU(lsh.SingleSnapshot(idx), mode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestConditionalProbsProperties(t *testing.T) {
 
 func TestJUDeterministic(t *testing.T) {
 	idx := simhashIndex(t, 100, 8, 1, 11, 12)
-	e, _ := NewJU(idx, JUClosedForm)
+	e, _ := NewMergedJU(lsh.SingleSnapshot(idx), JUClosedForm)
 	a, _ := e.Estimate(0.5, xrand.New(1))
 	b, _ := e.Estimate(0.5, xrand.New(999))
 	if a != b {

@@ -6,6 +6,7 @@ import (
 
 	"lshjoin/internal/lsh"
 	"lshjoin/internal/sample"
+	"lshjoin/internal/vecmath"
 	"lshjoin/internal/xrand"
 )
 
@@ -21,36 +22,34 @@ import (
 // the analytic P(H|T) of the uniformity analysis, which is exactly why its
 // high-threshold estimates are unreliable.
 type LSHS struct {
-	mPairs, nh int64 // M = C(n, 2) and N_H of the stratifying table (or merged view)
+	mPairs, nh int64 // M = C(n, 2) and N_H of table 0's stratum
 	k          int
 	family     lsh.Family
-	view       dataView
-	n          int
+	data       []vecmath.Vector
 	m          int
 }
 
-// NewLSHS builds the estimator over table 0 of an index snapshot; m is the
+// NewMergedLSHS builds the sampled collision estimator over a
+// shard-snapshot vector, with table 0's N_H (merged across shards) and the
+// dense union corpus; wrap one snapshot with lsh.SingleSnapshot. m is the
 // pair-sample size (defaults to n). Like all estimators, it binds to the
-// snapshot at construction and is immune to concurrent inserts.
-func NewLSHS(snap *lsh.Snapshot, m int) (*LSHS, error) {
-	if snap == nil {
-		return nil, fmt.Errorf("core: LSH-S needs an index snapshot")
+// capture at construction and is immune to concurrent inserts.
+func NewMergedLSHS(gs *lsh.GroupSnapshot, m int) (*LSHS, error) {
+	if gs == nil {
+		return nil, fmt.Errorf("core: LSH-S needs a group snapshot")
 	}
-	tab := snap.Table(0)
-	return newLSHSFrom(tab.M(), tab.NH(), tab.K(), snap.Family(), sliceView(snap.Data()), snap.N(), m)
-}
-
-// newLSHSFrom builds the estimator from its summary statistics plus a vector
-// view — the form the sharded constructors feed with merged N_H and the
-// dense union corpus.
-func newLSHSFrom(mPairs, nh int64, k int, family lsh.Family, view dataView, n, m int) (*LSHS, error) {
+	st, err := stratumOf(gs, 0)
+	if err != nil {
+		return nil, err
+	}
+	n := gs.N()
 	if n < 2 {
 		return nil, fmt.Errorf("core: LSH-S needs at least 2 vectors, got %d", n)
 	}
 	if m <= 0 {
 		m = n
 	}
-	return &LSHS{mPairs: mPairs, nh: nh, k: k, family: family, view: view, n: n, m: m}, nil
+	return &LSHS{mPairs: st.M(), nh: st.NH(), k: gs.K(), family: gs.Family(), data: gs.Data(), m: m}, nil
 }
 
 // Name implements Estimator.
@@ -68,8 +67,8 @@ func (e *LSHS) Estimate(tau float64, rng *xrand.RNG) (float64, error) {
 	var sumT, sumF float64
 	var nT, nF int
 	for s := 0; s < e.m; s++ {
-		i, j := sample.UniformPair(rng, e.n)
-		sim := e.family.Sim(e.view.At(i), e.view.At(j))
+		i, j := sample.UniformPair(rng, len(e.data))
+		sim := e.family.Sim(e.data[i], e.data[j])
 		if sim >= tau {
 			sumT += f(sim)
 			nT++

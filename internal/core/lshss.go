@@ -46,17 +46,6 @@ type stratum interface {
 	SameBucket(i, j int) bool
 }
 
-// dataView abstracts vector access by id so estimators read either a plain
-// snapshot slice or a sharded group's dense union view.
-type dataView interface {
-	At(i int) vecmath.Vector
-}
-
-// sliceView adapts a vector slice to dataView.
-type sliceView []vecmath.Vector
-
-func (s sliceView) At(i int) vecmath.Vector { return s[i] }
-
 // LSHSS is Algorithm 1 of the paper: stratified sampling over the two strata
 // induced by one LSH table. SampleH draws m_H uniform pairs from stratum H
 // (co-bucketed pairs, each drawn by an O(log #buckets) descent of the
@@ -66,106 +55,133 @@ func (s sliceView) At(i int) vecmath.Vector { return s[i] }
 // only when it observed at least δ true pairs and otherwise returning a safe
 // lower bound (or a dampened scale-up). The final estimate is Ĵ = Ĵ_H + Ĵ_L.
 type LSHSS struct {
+	params
 	strat stratum
-	view  dataView
-	n     int
+	data  []vecmath.Vector
 	sim   SimFunc
+}
 
-	tableIdx    int
+// params are the tunables of Algorithm 1 that LSHSS, VirtualSS and
+// GeneralLSHSS share.
+type params struct {
 	mH, mL      int
 	delta       int
 	damp        DampMode
 	cs          float64
 	alwaysScale bool // ablation: scale up even when unreliable
-	maxReject   int
+	table       int
 }
 
-// LSHSSOption customizes an LSHSS estimator.
-type LSHSSOption func(*LSHSS)
+// LSHSSOption customizes an LSH-SS-family estimator: LSHSS, MedianSS,
+// VirtualSS or GeneralLSHSS.
+type LSHSSOption func(*params)
 
 // WithSampleSizes overrides m_H and m_L (both default to n, the paper's
 // choice giving the Theorem 1/3 guarantees).
 func WithSampleSizes(mH, mL int) LSHSSOption {
-	return func(e *LSHSS) { e.mH, e.mL = mH, mL }
+	return func(p *params) { p.mH, p.mL = mH, mL }
 }
 
 // WithDelta overrides the answer-size threshold δ (default ⌈log₂ n⌉).
 func WithDelta(delta int) LSHSSOption {
-	return func(e *LSHSS) { e.delta = delta }
+	return func(p *params) { p.delta = delta }
 }
 
 // WithDamp selects the dampened scale-up of LSH-SS(D). cs is used only with
 // DampConst.
 func WithDamp(mode DampMode, cs float64) LSHSSOption {
-	return func(e *LSHSS) { e.damp, e.cs = mode, cs }
+	return func(p *params) { p.damp, p.cs = mode, cs }
 }
 
 // WithAlwaysScale disables the safe-lower-bound rule entirely, scaling the
 // SampleL count by N_L/m_L even when unreliable. This exists for the
 // ablation benchmarks; the paper's algorithm never does this.
 func WithAlwaysScale() LSHSSOption {
-	return func(e *LSHSS) { e.alwaysScale = true }
+	return func(p *params) { p.alwaysScale = true }
 }
 
 // WithTable selects which of the snapshot's ℓ tables induces the strata
-// (default 0). The multi-table median estimator runs one LSHSS per table.
+// (default 0). The multi-table median estimator runs one LSHSS per table;
+// the virtual-bucket stratum spans every table but still checks the index,
+// and the general estimator, whose stratum is built by its caller, ignores
+// it.
 func WithTable(t int) LSHSSOption {
-	return func(e *LSHSS) { e.tableIdx = t }
+	return func(p *params) { p.table = t }
 }
 
-// newSSBase resolves the n-scaled defaults and options shared by every
-// LSH-SS-family constructor (single-table, merged, virtual-bucket probe) and
-// validates them; the caller then binds strat/view/n.
-func newSSBase(n int, sim SimFunc, opts []LSHSSOption) (*LSHSS, error) {
+// maxReject bounds the rejection draws SampleL makes for one stratum-L pair
+// before it treats the stratum as exhausted.
+const maxReject = 4096
+
+// resolveParams applies opts over the defaults m_H = m_L = n and the given
+// δ, and validates the result.
+func resolveParams(n, delta int, opts []LSHSSOption) (params, error) {
+	p := params{mH: n, mL: n, delta: delta, damp: DampOff, cs: 1}
+	for _, opt := range opts {
+		opt(&p)
+	}
+	if p.mH < 1 || p.mL < 1 {
+		return p, fmt.Errorf("core: sample sizes must be positive (mH=%d, mL=%d)", p.mH, p.mL)
+	}
+	if p.delta < 1 {
+		return p, fmt.Errorf("core: δ must be positive, got %d", p.delta)
+	}
+	if p.damp == DampConst && (p.cs <= 0 || p.cs > 1) {
+		return p, fmt.Errorf("core: dampening factor must be in (0, 1], got %v", p.cs)
+	}
+	return p, nil
+}
+
+// selfParams resolves the tunables of a self-join estimator over n vectors,
+// whose δ defaults to ⌈log₂ n⌉.
+func selfParams(n int, opts []LSHSSOption) (params, error) {
 	if n < 2 {
-		return nil, fmt.Errorf("core: LSH-SS needs at least 2 vectors, got %d", n)
+		return params{}, fmt.Errorf("core: LSH-SS needs at least 2 vectors, got %d", n)
+	}
+	return resolveParams(n, int(math.Ceil(math.Log2(float64(n)))), opts)
+}
+
+// scaleL is SampleL's estimate Ĵ_L for a stratum of nl pairs from the
+// adaptive run res (lines 9–12 of Algorithm 1).
+func (p *params) scaleL(res sample.AdaptiveResult, nl float64) float64 {
+	switch {
+	case res.Reliable:
+		// Terminated by n_L ≥ δ: full scale-up by N_L/i (line 12).
+		return float64(res.Hits) * nl / float64(res.Taken)
+	case p.alwaysScale:
+		return float64(res.Hits) * nl / float64(p.mL)
+	case p.damp == DampAuto:
+		cs := float64(res.Hits) / float64(p.delta)
+		return float64(res.Hits) * cs * nl / float64(p.mL)
+	case p.damp == DampConst:
+		return float64(res.Hits) * p.cs * nl / float64(p.mL)
+	default:
+		// Budget exhausted (lines 9–11): the safe lower bound.
+		return float64(res.Hits)
+	}
+}
+
+// NewMergedLSHSS builds LSH-SS over a captured shard-snapshot vector; wrap
+// one snapshot with lsh.SingleSnapshot. The stratifying table (WithTable)
+// is stratumOf's view, and the vector data is the dense union corpus. The
+// estimator binds to the capture: it answers over those immutable versions
+// forever, unaffected by concurrent inserts. sim defaults to cosine.
+func NewMergedLSHSS(gs *lsh.GroupSnapshot, sim SimFunc, opts ...LSHSSOption) (*LSHSS, error) {
+	if gs == nil {
+		return nil, fmt.Errorf("core: LSH-SS needs a group snapshot")
+	}
+	p, err := selfParams(gs.N(), opts)
+	if err != nil {
+		return nil, err
+	}
+	strat, err := stratumOf(gs, p.table)
+	if err != nil {
+		return nil, err
 	}
 	if sim == nil {
 		sim = vecmath.Cosine
 	}
-	e := &LSHSS{
-		sim:       sim,
-		n:         n,
-		mH:        n,
-		mL:        n,
-		delta:     int(math.Ceil(math.Log2(float64(n)))),
-		damp:      DampOff,
-		cs:        1,
-		maxReject: 4096,
-	}
-	for _, opt := range opts {
-		opt(e)
-	}
-	if e.mH < 1 || e.mL < 1 {
-		return nil, fmt.Errorf("core: sample sizes must be positive (mH=%d, mL=%d)", e.mH, e.mL)
-	}
-	if e.delta < 1 {
-		return nil, fmt.Errorf("core: δ must be positive, got %d", e.delta)
-	}
-	if e.damp == DampConst && (e.cs <= 0 || e.cs > 1) {
-		return nil, fmt.Errorf("core: dampening factor must be in (0, 1], got %v", e.cs)
-	}
-	return e, nil
-}
-
-// NewLSHSS builds the estimator over one table of an index snapshot. The
-// estimator binds to the snapshot at construction: it answers over that
-// immutable version forever, unaffected by concurrent inserts into the
-// owning index. sim defaults to cosine.
-func NewLSHSS(snap *lsh.Snapshot, sim SimFunc, opts ...LSHSSOption) (*LSHSS, error) {
-	if snap == nil {
-		return nil, fmt.Errorf("core: LSH-SS needs an index snapshot")
-	}
-	e, err := newSSBase(snap.N(), sim, opts)
-	if err != nil {
-		return nil, err
-	}
-	if e.tableIdx < 0 || e.tableIdx >= snap.L() {
-		return nil, fmt.Errorf("core: table %d out of range [0, %d)", e.tableIdx, snap.L())
-	}
-	e.strat = snap.Table(e.tableIdx)
-	e.view = sliceView(snap.Data())
-	return e, nil
+	return &LSHSS{params: p, strat: strat, data: gs.Data(), sim: sim}, nil
 }
 
 // Name implements Estimator.
@@ -221,11 +237,11 @@ func (e *LSHSS) sampleH(tau float64, rng *xrand.RNG) Detail {
 		return Detail{} // empty stratum contributes nothing
 	}
 	if src, ok := e.flatSource(); ok {
-		return e.drawH(nh, rng, newFlatH(src, nh, tau, e.sim, e.view).draw)
+		return e.drawH(nh, rng, newFlatH(src, nh, tau, e.sim, e.data).draw)
 	}
 	return e.drawH(nh, rng, func(r *xrand.RNG) bool {
 		i, j, _ := e.strat.SamplePair(r) // ok: N_H > 0
-		return e.sim(e.view.At(i), e.view.At(j)) >= tau
+		return e.sim(e.data[i], e.data[j]) >= tau
 	})
 }
 
@@ -295,7 +311,7 @@ type flatH struct {
 
 // newFlatH lists src's multi-member buckets and scores their nh pairs at
 // tau, fanned out over runs of buckets of roughly equal pair weight.
-func newFlatH(src pairBuckets, nh int64, tau float64, sim SimFunc, view dataView) *flatH {
+func newFlatH(src pairBuckets, nh int64, tau float64, sim SimFunc, data []vecmath.Vector) *flatH {
 	f := &flatH{
 		first: make([]int64, 0, nh), // every listed bucket holds a pair
 		ids:   make([][]int32, 0, nh),
@@ -326,9 +342,9 @@ func newFlatH(src pairBuckets, nh int64, tau float64, sim SimFunc, view dataView
 		for j := start(s); j < start(s+1); j++ {
 			ids, off := f.ids[j], f.first[j]
 			for q := 1; q < len(ids); q++ {
-				vq := view.At(int(ids[q]))
+				vq := data[ids[q]]
 				for p := 0; p < q; p++ {
-					f.hit[off+int64(p)] = sim(view.At(int(ids[p])), vq) >= tau
+					f.hit[off+int64(p)] = sim(data[ids[p]], vq) >= tau
 				}
 				off += int64(q)
 			}
@@ -384,12 +400,12 @@ func (e *LSHSS) sampleL(tau float64, rng *xrand.RNG, d *Detail) {
 		q := shardQuota(e.mL, shards, s)
 		o := &outs[s]
 		for x := 0; x < q && len(o.hitPos) < e.delta; x++ {
-			i, j, ok := sample.RejectPair(r, e.n, notSame, e.maxReject)
+			i, j, ok := sample.RejectPair(r, len(e.data), notSame, maxReject)
 			if !ok {
 				o.exhausted = true
 				break
 			}
-			if e.sim(e.view.At(i), e.view.At(j)) >= tau {
+			if e.sim(e.data[i], e.data[j]) >= tau {
 				o.hitPos = append(o.hitPos, int32(x))
 			}
 			o.taken++
@@ -399,26 +415,7 @@ func (e *LSHSS) sampleL(tau float64, rng *xrand.RNG, d *Detail) {
 	d.HitsL = res.Hits
 	d.TakenL = res.Taken
 	d.ReliableL = res.Reliable
-	switch {
-	case res.Reliable:
-		// Terminated by n_L ≥ δ: full scale-up by N_L/i (line 12).
-		d.JL = float64(res.Hits) * float64(nl) / float64(res.Taken)
-	case e.alwaysScale:
-		d.JL = float64(res.Hits) * float64(nl) / float64(e.mL)
-	default:
-		// Budget exhausted (line 9–11).
-		cs := 0.0
-		switch e.damp {
-		case DampOff:
-			d.JL = float64(res.Hits) // safe lower bound
-			return
-		case DampAuto:
-			cs = float64(res.Hits) / float64(e.delta)
-		case DampConst:
-			cs = e.cs
-		}
-		d.JL = float64(res.Hits) * cs * float64(nl) / float64(e.mL)
-	}
+	d.JL = e.scaleL(res, float64(nl))
 }
 
 // Params reports the effective tunables (n-scaled defaults resolved).

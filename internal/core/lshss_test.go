@@ -17,7 +17,7 @@ func lshssFor(t *testing.T, n int, k int, dataSeed, hashSeed uint64, opts ...LSH
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewLSHSS(snap, nil, opts...)
+	e, err := NewMergedLSHSS(lsh.SingleSnapshot(snap), nil, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,25 +30,25 @@ func TestLSHSSValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewLSHSS(nil, nil); err == nil {
+	if _, err := NewMergedLSHSS(nil, nil); err == nil {
 		t.Error("nil snapshot accepted")
 	}
-	if _, err := NewLSHSS(snap, nil, WithTable(1)); err == nil {
+	if _, err := NewMergedLSHSS(lsh.SingleSnapshot(snap), nil, WithTable(1)); err == nil {
 		t.Error("out-of-range table accepted")
 	}
-	if _, err := NewLSHSS(snap, nil, WithSampleSizes(0, 10)); err == nil {
+	if _, err := NewMergedLSHSS(lsh.SingleSnapshot(snap), nil, WithSampleSizes(0, 10)); err == nil {
 		t.Error("mH=0 accepted")
 	}
-	if _, err := NewLSHSS(snap, nil, WithDelta(0)); err == nil {
+	if _, err := NewMergedLSHSS(lsh.SingleSnapshot(snap), nil, WithDelta(0)); err == nil {
 		t.Error("delta=0 accepted")
 	}
-	if _, err := NewLSHSS(snap, nil, WithDamp(DampConst, 0)); err == nil {
+	if _, err := NewMergedLSHSS(lsh.SingleSnapshot(snap), nil, WithDamp(DampConst, 0)); err == nil {
 		t.Error("cs=0 accepted")
 	}
-	if _, err := NewLSHSS(snap, nil, WithDamp(DampConst, 1.2)); err == nil {
+	if _, err := NewMergedLSHSS(lsh.SingleSnapshot(snap), nil, WithDamp(DampConst, 1.2)); err == nil {
 		t.Error("cs>1 accepted")
 	}
-	e, err := NewLSHSS(snap, nil)
+	e, err := NewMergedLSHSS(lsh.SingleSnapshot(snap), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +80,11 @@ func TestLSHSSDefaults(t *testing.T) {
 func TestLSHSSNames(t *testing.T) {
 	data := testData(50, 1)
 	snap, _ := lsh.BuildSnapshot(data, lsh.NewSimHash(2), 8, 1)
-	d, _ := NewLSHSS(snap, nil, WithDamp(DampAuto, 0))
+	d, _ := NewMergedLSHSS(lsh.SingleSnapshot(snap), nil, WithDamp(DampAuto, 0))
 	if d.Name() != "LSH-SS(D)" {
 		t.Errorf("damped name %q", d.Name())
 	}
-	a, _ := NewLSHSS(snap, nil, WithAlwaysScale())
+	a, _ := NewMergedLSHSS(lsh.SingleSnapshot(snap), nil, WithAlwaysScale())
 	if a.Name() != "LSH-SS(always-scale)" {
 		t.Errorf("ablation name %q", a.Name())
 	}
@@ -209,7 +209,7 @@ func TestLSHSSDampedScaleUp(t *testing.T) {
 	}
 	tab := snap.Table(0)
 	mkDet := func(opts ...LSHSSOption) Detail {
-		e, err := NewLSHSS(snap, nil, opts...)
+		e, err := NewMergedLSHSS(lsh.SingleSnapshot(snap), nil, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestLSHSSAlwaysScaleAblation(t *testing.T) {
 	data := testData(500, 11)
 	snap, _ := lsh.BuildSnapshot(data, lsh.NewSimHash(12), 10, 1)
 	tab := snap.Table(0)
-	e, err := NewLSHSS(snap, nil, WithDelta(1000000), WithSampleSizes(500, 300), WithAlwaysScale())
+	e, err := NewMergedLSHSS(lsh.SingleSnapshot(snap), nil, WithDelta(1000000), WithSampleSizes(500, 300), WithAlwaysScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestLSHSSJaccard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewLSHSS(snap, vecmath.Jaccard, WithSampleSizes(400, 60000))
+	e, err := NewMergedLSHSS(lsh.SingleSnapshot(snap), vecmath.Jaccard, WithSampleSizes(400, 60000))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,15 +19,16 @@ type MedianSS struct {
 	subs []*LSHSS
 }
 
-// NewMedianSS builds per-table LSH-SS estimators with shared options, all
-// bound to the same index snapshot.
-func NewMedianSS(snap *lsh.Snapshot, sim SimFunc, opts ...LSHSSOption) (*MedianSS, error) {
-	if snap == nil {
-		return nil, fmt.Errorf("core: median estimator needs an index snapshot")
+// NewMergedMedianSS builds the median estimator over a shard-snapshot
+// vector: one LSH-SS per table, all with the same options and bound to the
+// same capture; wrap one snapshot with lsh.SingleSnapshot.
+func NewMergedMedianSS(gs *lsh.GroupSnapshot, sim SimFunc, opts ...LSHSSOption) (*MedianSS, error) {
+	if gs == nil {
+		return nil, fmt.Errorf("core: median estimator needs a group snapshot")
 	}
-	subs := make([]*LSHSS, 0, snap.L())
-	for t := 0; t < snap.L(); t++ {
-		s, err := NewLSHSS(snap, sim, append(append([]LSHSSOption(nil), opts...), WithTable(t))...)
+	subs := make([]*LSHSS, 0, gs.L())
+	for t := 0; t < gs.L(); t++ {
+		s, err := NewMergedLSHSS(gs, sim, append(append([]LSHSSOption(nil), opts...), WithTable(t))...)
 		if err != nil {
 			return nil, err
 		}
@@ -58,36 +59,6 @@ func (e *MedianSS) Estimate(tau float64, rng *xrand.RNG) (float64, error) {
 	return stats.Median(ests), nil
 }
 
-// tableView abstracts the multi-table observables the virtual-bucket
-// estimator reads: per-table stratum-H weights and samplers plus the
-// cross-table membership tests. A plain snapshot implements it through
-// snapTables; a sharded group implements it through the merged per-table
-// strata of core/sharded.go.
-type tableView interface {
-	L() int
-	N() int
-	At(i int) vecmath.Vector
-	TableNH(t int) int64
-	SampleTablePair(t int, rng *xrand.RNG) (i, j int, ok bool)
-	SameAnyBucket(i, j int) bool
-	BucketMultiplicity(i, j int) int
-}
-
-// snapTables adapts one index snapshot to tableView.
-type snapTables struct{ s *lsh.Snapshot }
-
-func (v snapTables) L() int                      { return v.s.L() }
-func (v snapTables) N() int                      { return v.s.N() }
-func (v snapTables) At(i int) vecmath.Vector     { return v.s.Data()[i] }
-func (v snapTables) TableNH(t int) int64         { return v.s.Table(t).NH() }
-func (v snapTables) SameAnyBucket(i, j int) bool { return v.s.SameAnyBucket(i, j) }
-func (v snapTables) BucketMultiplicity(i, j int) int {
-	return v.s.BucketMultiplicity(i, j)
-}
-func (v snapTables) SampleTablePair(t int, rng *xrand.RNG) (i, j int, ok bool) {
-	return v.s.Table(t).SamplePair(rng)
-}
-
 // VirtualSS is the virtual-bucket estimator of App. B.2.1: a pair belongs to
 // stratum H if the two vectors share a bucket in ANY of the ℓ tables, which
 // relaxes an overly selective g (large k).
@@ -100,53 +71,47 @@ func (v snapTables) SampleTablePair(t int, rng *xrand.RNG) (i, j int, ok bool) {
 // of the pair's bucket multiplicity — which gives unbiased estimates of both
 // |S_H^∪| and J_H. DESIGN.md records this as a documented extension.
 type VirtualSS struct {
-	view tableView
-	sim  SimFunc
-
-	mH, mL    int
-	delta     int
-	damp      DampMode
-	cs        float64
-	maxReject int
+	params
+	gs     *lsh.GroupSnapshot
+	data   []vecmath.Vector
+	strata []stratum // per-table stratum H, as stratumOf builds it
+	sim    SimFunc
 
 	mixture []float64 // per-table N_H weights
 	totalNH float64   // Σ_t N_H,t
 }
 
-// NewVirtualSS builds the virtual-bucket estimator over an index snapshot.
-// The LSHSS options WithSampleSizes, WithDelta and WithDamp are honored.
-func NewVirtualSS(snap *lsh.Snapshot, sim SimFunc, opts ...LSHSSOption) (*VirtualSS, error) {
-	if snap == nil {
-		return nil, fmt.Errorf("core: virtual-bucket estimator needs an index snapshot")
+// NewMergedVirtualSS builds the virtual-bucket estimator over a
+// shard-snapshot vector; wrap one snapshot with lsh.SingleSnapshot. The
+// per-table mixture weights are the N_H,t of stratumOf's per-table views,
+// the importance draws come from their samplers, and bucket multiplicity is
+// evaluated across shards. The options WithSampleSizes, WithDelta, WithDamp
+// and WithAlwaysScale are honored.
+func NewMergedVirtualSS(gs *lsh.GroupSnapshot, sim SimFunc, opts ...LSHSSOption) (*VirtualSS, error) {
+	if gs == nil {
+		return nil, fmt.Errorf("core: virtual-bucket estimator needs a group snapshot")
 	}
-	return newVirtualSSView(snapTables{s: snap}, sim, opts)
-}
-
-// newVirtualSSView builds the estimator over any multi-table view.
-func newVirtualSSView(view tableView, sim SimFunc, opts []LSHSSOption) (*VirtualSS, error) {
-	if sim == nil {
-		sim = vecmath.Cosine
-	}
-	// Reuse LSHSS option plumbing to resolve the n-scaled defaults.
-	probe, err := newSSBase(view.N(), sim, opts)
+	p, err := selfParams(gs.N(), opts)
 	if err != nil {
 		return nil, err
 	}
 	// The virtual-bucket stratum spans all tables, so WithTable is
 	// meaningless here — but an out-of-range index is still a caller
 	// configuration error worth failing fast on.
-	if probe.tableIdx < 0 || probe.tableIdx >= view.L() {
-		return nil, fmt.Errorf("core: table %d out of range [0, %d)", probe.tableIdx, view.L())
+	if p.table < 0 || p.table >= gs.L() {
+		return nil, fmt.Errorf("core: table %d out of range [0, %d)", p.table, gs.L())
 	}
-	mH, mL, delta, damp, cs := probe.Params()
-	e := &VirtualSS{
-		view: view, sim: sim,
-		mH: mH, mL: mL, delta: delta, damp: damp, cs: cs,
-		maxReject: 4096,
+	if sim == nil {
+		sim = vecmath.Cosine
 	}
-	e.mixture = make([]float64, view.L())
+	e := &VirtualSS{params: p, gs: gs, data: gs.Data(), sim: sim, mixture: make([]float64, gs.L())}
 	for t := range e.mixture {
-		e.mixture[t] = float64(view.TableNH(t))
+		st, err := stratumOf(gs, t)
+		if err != nil {
+			return nil, err
+		}
+		e.strata = append(e.strata, st)
+		e.mixture[t] = float64(st.NH())
 		e.totalNH += e.mixture[t]
 	}
 	return e, nil
@@ -162,7 +127,7 @@ func (e *VirtualSS) Estimate(tau float64, rng *xrand.RNG) (float64, error) {
 	}
 	jh := e.sampleH(tau, rng)
 	jl := e.sampleL(tau, rng)
-	return clampEstimate(jh+jl, pairsOf(e.view.N())), nil
+	return clampEstimate(jh+jl, pairsOf(len(e.data))), nil
 }
 
 // sampleH draws from the per-table mixture with multiplicity correction:
@@ -176,12 +141,12 @@ func (e *VirtualSS) sampleH(tau float64, rng *xrand.RNG) float64 {
 	var sum float64 // Σ [sim ≥ τ]/mult over draws
 	for s := 0; s < e.mH; s++ {
 		t := e.pickTable(rng)
-		i, j, ok := e.view.SampleTablePair(t, rng)
+		i, j, ok := e.strata[t].SamplePair(rng)
 		if !ok {
 			continue
 		}
-		if e.sim(e.view.At(i), e.view.At(j)) >= tau {
-			sum += 1 / float64(e.view.BucketMultiplicity(i, j))
+		if e.sim(e.data[i], e.data[j]) >= tau {
+			sum += 1 / float64(e.gs.BucketMultiplicity(i, j))
 		}
 	}
 	return sum * e.totalNH / float64(e.mH)
@@ -196,11 +161,11 @@ func (e *VirtualSS) NHVirtual(m int, rng *xrand.RNG) float64 {
 	var sum float64
 	for s := 0; s < m; s++ {
 		t := e.pickTable(rng)
-		i, j, ok := e.view.SampleTablePair(t, rng)
+		i, j, ok := e.strata[t].SamplePair(rng)
 		if !ok {
 			continue
 		}
-		sum += 1 / float64(e.view.BucketMultiplicity(i, j))
+		sum += 1 / float64(e.gs.BucketMultiplicity(i, j))
 	}
 	return sum * e.totalNH / float64(m)
 }
@@ -221,37 +186,20 @@ func (e *VirtualSS) pickTable(rng *xrand.RNG) int {
 // and N_L approximated by M − N̂_H (the union N_H is itself estimated; the
 // approximation error is second-order because N_H ≪ M in any useful index).
 func (e *VirtualSS) sampleL(tau float64, rng *xrand.RNG) float64 {
-	n := e.view.N()
+	n := len(e.data)
 	m := pairsOf(n)
-	nhHat := e.NHVirtual(minInt(e.mH, 2048), rng)
+	nhHat := e.NHVirtual(min(e.mH, 2048), rng)
 	nl := m - nhHat
 	if nl <= 0 {
 		return 0
 	}
-	notSame := func(i, j int) bool { return !e.view.SameAnyBucket(i, j) }
+	notSame := func(i, j int) bool { return !e.gs.SameAnyBucket(i, j) }
 	res := sample.Adaptive(e.delta, e.mL, func() (bool, bool) {
-		i, j, ok := sample.RejectPair(rng, n, notSame, e.maxReject)
+		i, j, ok := sample.RejectPair(rng, n, notSame, maxReject)
 		if !ok {
 			return false, false
 		}
-		return e.sim(e.view.At(i), e.view.At(j)) >= tau, true
+		return e.sim(e.data[i], e.data[j]) >= tau, true
 	})
-	switch {
-	case res.Reliable:
-		return float64(res.Hits) * nl / float64(res.Taken)
-	case e.damp == DampAuto:
-		cs := float64(res.Hits) / float64(e.delta)
-		return float64(res.Hits) * cs * nl / float64(e.mL)
-	case e.damp == DampConst:
-		return float64(res.Hits) * e.cs * nl / float64(e.mL)
-	default:
-		return float64(res.Hits)
-	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return e.scaleL(res, nl)
 }

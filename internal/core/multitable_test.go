@@ -10,7 +10,7 @@ import (
 )
 
 func TestMedianSSValidation(t *testing.T) {
-	if _, err := NewMedianSS(nil, nil); err == nil {
+	if _, err := NewMergedMedianSS(nil, nil); err == nil {
 		t.Error("nil index accepted")
 	}
 }
@@ -22,7 +22,7 @@ func TestMedianSSAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// m_L large enough that SampleL is in its reliable regime at τ = 0.3.
-	e, err := NewMedianSS(idx, nil, WithSampleSizes(600, 20000))
+	e, err := NewMergedMedianSS(lsh.SingleSnapshot(idx), nil, WithSampleSizes(600, 20000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +47,11 @@ func TestMedianReducesSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	median, err := NewMedianSS(idx, nil)
+	median, err := NewMergedMedianSS(lsh.SingleSnapshot(idx), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := NewLSHSS(idx, nil)
+	single, err := NewMergedLSHSS(lsh.SingleSnapshot(idx), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestMedianReducesSpread(t *testing.T) {
 }
 
 func TestVirtualSSValidation(t *testing.T) {
-	if _, err := NewVirtualSS(nil, nil); err == nil {
+	if _, err := NewMergedVirtualSS(nil, nil); err == nil {
 		t.Error("nil index accepted")
 	}
 }
@@ -108,7 +108,7 @@ func TestNHVirtualUnbiased(t *testing.T) {
 	if exact == 0 {
 		t.Skip("degenerate: empty union stratum")
 	}
-	e, err := NewVirtualSS(idx, nil)
+	e, err := NewMergedVirtualSS(lsh.SingleSnapshot(idx), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestVirtualSSAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewVirtualSS(idx, nil)
+	e, err := NewMergedVirtualSS(lsh.SingleSnapshot(idx), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestVirtualSSBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewVirtualSS(idx, nil)
+	e, err := NewMergedVirtualSS(lsh.SingleSnapshot(idx), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

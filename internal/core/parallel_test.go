@@ -33,11 +33,11 @@ func TestEstimateDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := NewLSHSS(idx, nil)
+	single, err := NewMergedLSHSS(lsh.SingleSnapshot(idx), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	median, err := NewMedianSS(idx, nil)
+	median, err := NewMergedMedianSS(lsh.SingleSnapshot(idx), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func (w propWorld) build(t *testing.T) (*lsh.Snapshot, []vecmath.Vector) {
 func TestPropLSHSSEstimateInRange(t *testing.T) {
 	f := func(w propWorld) bool {
 		idx, data := w.build(t)
-		e, err := NewLSHSS(idx, nil)
+		e, err := NewMergedLSHSS(lsh.SingleSnapshot(idx), nil)
 		if err != nil {
 			return false
 		}
@@ -66,7 +66,7 @@ func TestPropLSHSSEstimateInRange(t *testing.T) {
 func TestPropDetailConsistency(t *testing.T) {
 	f := func(w propWorld) bool {
 		idx, data := w.build(t)
-		e, err := NewLSHSS(idx, nil)
+		e, err := NewMergedLSHSS(lsh.SingleSnapshot(idx), nil)
 		if err != nil {
 			return false
 		}
@@ -101,11 +101,11 @@ func TestPropDetailConsistency(t *testing.T) {
 func TestPropDampedJHMatchesPlain(t *testing.T) {
 	f := func(w propWorld) bool {
 		idx, _ := w.build(t)
-		plain, err := NewLSHSS(idx, nil)
+		plain, err := NewMergedLSHSS(lsh.SingleSnapshot(idx), nil)
 		if err != nil {
 			return false
 		}
-		damped, err := NewLSHSS(idx, nil, WithDamp(DampAuto, 0))
+		damped, err := NewMergedLSHSS(lsh.SingleSnapshot(idx), nil, WithDamp(DampAuto, 0))
 		if err != nil {
 			return false
 		}

@@ -5,11 +5,10 @@ import (
 	"sort"
 
 	"lshjoin/internal/lsh"
-	"lshjoin/internal/vecmath"
 	"lshjoin/internal/xrand"
 )
 
-// Merged estimators over a sharded index (lsh.ShardGroup / lsh.GroupSnapshot).
+// Merged strata over a sharded index (lsh.ShardGroup / lsh.GroupSnapshot).
 //
 // Bucket keys are shard-invariant, so the union index's stratum H decomposes
 // exactly over the partition: a union bucket whose members split m_1..m_S
@@ -26,9 +25,13 @@ import (
 // over shards unchanged, with the same deterministic RNG-split parallel
 // sampling discipline as the single-index path.
 //
-// With S = 1 every merged constructor delegates to its single-snapshot
-// counterpart, which makes an S=1 sharded collection draw-for-draw identical
-// to the unsharded one.
+// Every estimator has one constructor, over a *lsh.GroupSnapshot (or, for
+// cross joins, a BipartiteStratum built from two). A one-shard group skips
+// the merge: stratumOf hands the estimators the snapshot's own *lsh.Table,
+// and NewBipartiteStratum the plain *lsh.Bipartite of two one-shard sides.
+// So lsh.SingleSnapshot of an unsharded index, or any S = 1 capture,
+// samples draw-for-draw as the index itself, and SampleH keeps its flat
+// path there.
 
 // stratumComponent is one additive slice of the merged stratum H: an
 // intra-shard table or a cross-shard bucket matching. samplePair returns
@@ -107,6 +110,24 @@ func NewMergedStratum(gs *lsh.GroupSnapshot, t int) (*MergedStratum, error) {
 	return ms, nil
 }
 
+// stratumOf returns the stratum that table t induces on gs: the snapshot's
+// own table at one shard, which keeps a one-shard group draw-for-draw the
+// unsharded index and lets SampleH take the flat path, and the merged
+// per-shard view otherwise.
+func stratumOf(gs *lsh.GroupSnapshot, t int) (stratum, error) {
+	if gs.S() > 1 {
+		ms, err := NewMergedStratum(gs, t)
+		if err != nil {
+			return nil, err
+		}
+		return ms, nil
+	}
+	if t < 0 || t >= gs.L() {
+		return nil, fmt.Errorf("core: table %d out of range [0, %d)", t, gs.L())
+	}
+	return gs.Snap(0).Table(t), nil
+}
+
 // M returns the total number of unordered pairs C(n, 2) of the union corpus.
 func (ms *MergedStratum) M() int64 {
 	n := int64(ms.gs.N())
@@ -170,36 +191,34 @@ type MergedBipartiteStratum struct {
 // O(S_left·S_right·#buckets) — so estimators build it once and sample many
 // times. Both groups must be hashed with the same family and k.
 func NewMergedBipartiteStratum(left, right *lsh.GroupSnapshot, t int) (*MergedBipartiteStratum, error) {
-	return newMergedBipartiteStratumReuse(left, right, t, nil)
-}
-
-// newMergedBipartiteStratumReuse is NewMergedBipartiteStratum with component
-// reuse: when reuse is non-nil, reuse(a, b) may return an already-built
-// bipartite matching for shard pair (a, b) — valid only if both shards'
-// snapshots are unchanged, which the caller is responsible for checking by
-// version — and nil to build fresh. Offsets and cumulative weights are
-// always reassembled from the given snapshots, since a publish on one shard
-// shifts every later shard's dense offset.
-func newMergedBipartiteStratumReuse(left, right *lsh.GroupSnapshot, t int, reuse func(a, b int) *lsh.Bipartite) (*MergedBipartiteStratum, error) {
 	if err := lsh.CompatibleCross(left, right); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	return mergeBipartite(left, right, t, matchShards(left, right, t))
+}
+
+// matchShards returns the component source that builds the bipartite
+// matching of left shard a and right shard b afresh.
+func matchShards(left, right *lsh.GroupSnapshot, t int) func(a, b int) (*lsh.Bipartite, error) {
+	return func(a, b int) (*lsh.Bipartite, error) {
+		return lsh.NewBipartite(left.Snap(a), right.Snap(b), t)
+	}
+}
+
+// mergeBipartite assembles the merged view of a compatible group pair from
+// its S_left·S_right shard-pair matchings, comp(a, b) supplying each.
+// Offsets and cumulative weights always come from the given snapshots,
+// since a publish on one shard shifts every later shard's dense offset.
+func mergeBipartite(left, right *lsh.GroupSnapshot, t int, comp func(a, b int) (*lsh.Bipartite, error)) (*MergedBipartiteStratum, error) {
 	if t < 0 || t >= left.L() || t >= right.L() {
 		return nil, fmt.Errorf("core: table %d out of range", t)
 	}
 	ms := &MergedBipartiteStratum{left: left, right: right, t: t}
 	for a := 0; a < left.S(); a++ {
 		for b := 0; b < right.S(); b++ {
-			var bp *lsh.Bipartite
-			if reuse != nil {
-				bp = reuse(a, b)
-			}
-			if bp == nil {
-				var err error
-				bp, err = lsh.NewBipartite(left.Snap(a), right.Snap(b), t)
-				if err != nil {
-					return nil, err
-				}
+			bp, err := comp(a, b)
+			if err != nil {
+				return nil, err
 			}
 			ms.comps = append(ms.comps, crossComponent{bp: bp, offL: left.Offset(a), offR: right.Offset(b)})
 		}
@@ -259,161 +278,34 @@ func (ms *MergedBipartiteStratum) Sim(u, v int) float64 {
 }
 
 // NewBipartiteStratum builds the cross-group stratum view of table t for a
-// captured group pair: the plain per-snapshot bipartite matching at one
-// shard per side (preserving the historic draw stream exactly), the merged
-// per-shard-pair decomposition otherwise. The view is immutable — callers
-// answering repeated estimates over an unchanged capture should build it
-// once, cache it keyed on the pair's version vectors, and construct
-// estimators over it per call (estimator construction itself is cheap).
+// captured group pair (see bipartiteStratum). The view is immutable —
+// callers answering repeated estimates over an unchanged capture should
+// build it once, cache it keyed on the pair's version vectors (see
+// BipartiteStratumCache), and construct estimators over it per call
+// (estimator construction itself is cheap).
 func NewBipartiteStratum(left, right *lsh.GroupSnapshot, t int) (BipartiteStratum, error) {
+	return bipartiteStratum(left, right, t, matchShards(left, right, t))
+}
+
+// bipartiteStratum builds table t's cross stratum of a captured group pair
+// from its shard-pair matchings, comp(a, b) supplying each: the plain
+// matching of the two snapshots at one shard per side, which keeps a
+// one-shard cross join draw-for-draw the single-snapshot one, and the
+// merged per-shard-pair decomposition otherwise.
+func bipartiteStratum(left, right *lsh.GroupSnapshot, t int, comp func(a, b int) (*lsh.Bipartite, error)) (BipartiteStratum, error) {
 	if err := lsh.CompatibleCross(left, right); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if left.S() == 1 && right.S() == 1 {
-		return lsh.NewBipartite(left.Snap(0), right.Snap(0), t)
-	}
-	return NewMergedBipartiteStratum(left, right, t)
-}
-
-// NewGeneralLSHSSOver builds the general estimator over a prebuilt
-// bipartite stratum view, for callers that cache the (expensive) view
-// across estimates; NewGeneralLSHSS and NewMergedGeneralLSHSS are the
-// build-and-bind conveniences on top of it.
-func NewGeneralLSHSSOver(bp BipartiteStratum, sim SimFunc, opts ...GeneralOption) (*GeneralLSHSS, error) {
-	if bp == nil {
-		return nil, fmt.Errorf("core: general LSH-SS needs a bipartite stratum")
-	}
-	return newGeneralLSHSS(bp, sim, opts)
-}
-
-// NewMergedGeneralLSHSS builds the general (non-self) LSH-SS estimator of
-// App. B.2.2 over two captured shard-snapshot vectors, stratified by the
-// merged table-0 bipartite matching. With one shard on each side it
-// delegates to the plain bipartite matching of the two snapshots,
-// draw-for-draw — which is what keeps an S=1 live cross join identical to
-// the static single-snapshot path.
-func NewMergedGeneralLSHSS(left, right *lsh.GroupSnapshot, sim SimFunc, opts ...GeneralOption) (*GeneralLSHSS, error) {
-	bs, err := NewBipartiteStratum(left, right, 0)
-	if err != nil {
-		return nil, err
-	}
-	return newGeneralLSHSS(bs, sim, opts)
-}
-
-// NewMergedLSHSS builds LSH-SS over a captured shard-snapshot vector: the
-// stratifying table (WithTable) is the merged per-table weight view, and the
-// vector data is the dense union corpus. With one shard it delegates to
-// NewLSHSS on that shard's snapshot, draw-for-draw.
-func NewMergedLSHSS(gs *lsh.GroupSnapshot, sim SimFunc, opts ...LSHSSOption) (*LSHSS, error) {
-	if gs == nil {
-		return nil, fmt.Errorf("core: merged LSH-SS needs a group snapshot")
-	}
-	if gs.S() == 1 {
-		return NewLSHSS(gs.Snap(0), sim, opts...)
-	}
-	e, err := newSSBase(gs.N(), sim, opts)
-	if err != nil {
-		return nil, err
-	}
-	if e.tableIdx < 0 || e.tableIdx >= gs.L() {
-		return nil, fmt.Errorf("core: table %d out of range [0, %d)", e.tableIdx, gs.L())
-	}
-	ms, err := NewMergedStratum(gs, e.tableIdx)
-	if err != nil {
-		return nil, err
-	}
-	e.strat = ms
-	e.view = sliceView(gs.Data())
-	return e, nil
-}
-
-// NewMergedMedianSS builds the median estimator over a shard-snapshot
-// vector: one merged LSH-SS per table, median of the per-table estimates.
-func NewMergedMedianSS(gs *lsh.GroupSnapshot, sim SimFunc, opts ...LSHSSOption) (*MedianSS, error) {
-	if gs == nil {
-		return nil, fmt.Errorf("core: merged median estimator needs a group snapshot")
-	}
-	subs := make([]*LSHSS, 0, gs.L())
-	for t := 0; t < gs.L(); t++ {
-		s, err := NewMergedLSHSS(gs, sim, append(append([]LSHSSOption(nil), opts...), WithTable(t))...)
+	if left.S() > 1 || right.S() > 1 {
+		ms, err := mergeBipartite(left, right, t, comp)
 		if err != nil {
 			return nil, err
 		}
-		subs = append(subs, s)
+		return ms, nil
 	}
-	return &MedianSS{subs: subs}, nil
-}
-
-// groupTables adapts a shard-snapshot vector plus its per-table merged
-// strata to the virtual-bucket estimator's tableView.
-type groupTables struct {
-	gs     *lsh.GroupSnapshot
-	data   sliceView
-	strata []*MergedStratum
-}
-
-func (v groupTables) L() int                          { return v.gs.L() }
-func (v groupTables) N() int                          { return v.gs.N() }
-func (v groupTables) At(i int) vecmath.Vector         { return v.data.At(i) }
-func (v groupTables) TableNH(t int) int64             { return v.strata[t].NH() }
-func (v groupTables) SameAnyBucket(i, j int) bool     { return v.gs.SameAnyBucket(i, j) }
-func (v groupTables) BucketMultiplicity(i, j int) int { return v.gs.BucketMultiplicity(i, j) }
-func (v groupTables) SampleTablePair(t int, rng *xrand.RNG) (i, j int, ok bool) {
-	return v.strata[t].SamplePair(rng)
-}
-
-// NewMergedVirtualSS builds the virtual-bucket estimator over a
-// shard-snapshot vector: the per-table mixture weights are the merged
-// N_H,t sums and the importance draws come from the merged per-table
-// samplers, with bucket multiplicity evaluated across shards.
-func NewMergedVirtualSS(gs *lsh.GroupSnapshot, sim SimFunc, opts ...LSHSSOption) (*VirtualSS, error) {
-	if gs == nil {
-		return nil, fmt.Errorf("core: merged virtual-bucket estimator needs a group snapshot")
-	}
-	if gs.S() == 1 {
-		return NewVirtualSS(gs.Snap(0), sim, opts...)
-	}
-	view := groupTables{gs: gs, data: sliceView(gs.Data())}
-	for t := 0; t < gs.L(); t++ {
-		ms, err := NewMergedStratum(gs, t)
-		if err != nil {
-			return nil, err
-		}
-		view.strata = append(view.strata, ms)
-	}
-	return newVirtualSSView(view, sim, opts)
-}
-
-// NewMergedJU builds the uniformity estimator over a shard-snapshot vector.
-// JU consumes only (M, N_H, k) and the family's collision curve, and the
-// merged N_H equals the union index's N_H exactly, so the sharded JU is
-// equal — not just close — to the single-index JU over the same corpus.
-func NewMergedJU(gs *lsh.GroupSnapshot, mode JUMode) (*JU, error) {
-	if gs == nil {
-		return nil, fmt.Errorf("core: JU needs a group snapshot")
-	}
-	if gs.S() == 1 {
-		return NewJU(gs.Snap(0), mode)
-	}
-	ms, err := NewMergedStratum(gs, 0)
+	bp, err := comp(0, 0)
 	if err != nil {
 		return nil, err
 	}
-	return newJUFrom(ms.M(), ms.NH(), gs.K(), gs.Family(), mode)
-}
-
-// NewMergedLSHS builds the sampled collision estimator over a shard-snapshot
-// vector, with the merged table-0 N_H and the dense union corpus.
-func NewMergedLSHS(gs *lsh.GroupSnapshot, m int) (*LSHS, error) {
-	if gs == nil {
-		return nil, fmt.Errorf("core: LSH-S needs a group snapshot")
-	}
-	if gs.S() == 1 {
-		return NewLSHS(gs.Snap(0), m)
-	}
-	ms, err := NewMergedStratum(gs, 0)
-	if err != nil {
-		return nil, err
-	}
-	return newLSHSFrom(ms.M(), ms.NH(), gs.K(), gs.Family(), sliceView(gs.Data()), gs.N(), m)
+	return bp, nil
 }

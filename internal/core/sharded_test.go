@@ -113,33 +113,92 @@ func TestMergedSamplePairUniformOverUnionStratum(t *testing.T) {
 	}
 }
 
-// With one shard the merged constructors delegate: draw-for-draw identical
-// estimates to the single-snapshot constructors.
+// At one shard every self-join estimator stratifies by the snapshot's own
+// table, so a one-shard group answers draw-for-draw as lsh.SingleSnapshot of
+// the union build does — estimates and curves, on every table.
 func TestMergedSingleShardDelegates(t *testing.T) {
 	gs, union := groupAndUnion(t, 200, 10, 2, 1, lsh.NewSimHash(3))
-	merged, err := NewMergedLSHSS(gs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := NewLSHSS(union, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tau := range []float64{0.5, 0.8, 0.95} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			a, err := merged.Estimate(tau, xrand.New(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := plain.Estimate(tau, xrand.New(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a != b {
-				t.Fatalf("tau=%v seed=%d: merged %v, plain %v", tau, seed, a, b)
+	single := lsh.SingleSnapshot(union)
+	taus := []float64{0.5, 0.8, 0.95}
+	same := func(name string, a, b Estimator) {
+		t.Helper()
+		for _, tau := range taus {
+			for seed := uint64(1); seed <= 3; seed++ {
+				x, err := a.Estimate(tau, xrand.New(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				y, err := b.Estimate(tau, xrand.New(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if x != y {
+					t.Fatalf("%s tau=%v seed=%d: group %v, single %v", name, tau, seed, x, y)
+				}
 			}
 		}
 	}
+	for ti := 0; ti < 2; ti++ {
+		merged, err := NewMergedLSHSS(gs, nil, WithTable(ti))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := NewMergedLSHSS(single, nil, WithTable(ti))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if merged.strat != gs.Snap(0).Table(ti) {
+			t.Fatalf("table %d: stratum is %T, want the snapshot's own *lsh.Table", ti, merged.strat)
+		}
+		same("LSH-SS", merged, plain)
+		for seed := uint64(1); seed <= 3; seed++ {
+			ca, err := merged.EstimateCurve(taus, xrand.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cb, err := plain.EstimateCurve(taus, xrand.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range ca {
+				if ca[i] != cb[i] {
+					t.Fatalf("table %d seed %d: curve[%d] group %v, single %v", ti, seed, i, ca[i], cb[i])
+				}
+			}
+		}
+	}
+	vm, err := NewMergedVirtualSS(gs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti, st := range vm.strata {
+		if st != gs.Snap(0).Table(ti) {
+			t.Fatalf("virtual table %d: stratum is %T, want the snapshot's own *lsh.Table", ti, st)
+		}
+	}
+	vp, err := NewMergedVirtualSS(single, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("virtual", vm, vp)
+	mm, err := NewMergedMedianSS(gs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp, err := NewMergedMedianSS(single, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("median", mm, mp)
+	sm, err := NewMergedLSHS(gs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := NewMergedLSHS(single, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("LSH-S", sm, sp)
 }
 
 // JU consumes only (M, N_H, k), and the merged N_H is exact, so the sharded
@@ -152,7 +211,7 @@ func TestMergedJUEqualsUnion(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := NewJU(union, mode)
+			plain, err := NewMergedJU(lsh.SingleSnapshot(union), mode)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,7 +298,7 @@ func TestMergedEstimateCurveMonotone(t *testing.T) {
 // not (the virtual-bucket estimator ignores WithTable but still validates).
 func TestOutOfRangeTableRejected(t *testing.T) {
 	gs, union := groupAndUnion(t, 60, 6, 2, 3, lsh.NewSimHash(3))
-	if _, err := NewVirtualSS(union, nil, WithTable(7)); err == nil {
+	if _, err := NewMergedVirtualSS(lsh.SingleSnapshot(union), nil, WithTable(7)); err == nil {
 		t.Error("VirtualSS accepted out-of-range table")
 	}
 	if _, err := NewMergedVirtualSS(gs, nil, WithTable(7)); err == nil {
@@ -260,7 +319,7 @@ func TestMergedLSHSRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewLSHS(union, 0)
+	plain, err := NewMergedLSHS(lsh.SingleSnapshot(union), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,18 +459,43 @@ func TestMergedBipartiteSamplePairUniform(t *testing.T) {
 	}
 }
 
-// With one shard on each side the merged general constructor delegates to
-// the plain bipartite matching: draw-for-draw identical estimates and
-// curves.
-func TestMergedGeneralSingleShardDelegates(t *testing.T) {
-	lgs, rgs, union := crossGroupsAndUnion(t, 150, 120, 10, 1, 1, 1, lsh.NewSimHash(3))
-	merged, err := NewMergedGeneralLSHSS(lgs, rgs, nil)
+// mergedGeneral builds the general estimator over NewBipartiteStratum's
+// view of a captured group pair.
+func mergedGeneral(t *testing.T, left, right *lsh.GroupSnapshot) (*GeneralLSHSS, BipartiteStratum) {
+	t.Helper()
+	bs, err := NewBipartiteStratum(left, right, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewGeneralLSHSS(union, nil)
+	e, err := NewGeneralLSHSS(bs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return e, bs
+}
+
+// With one shard on each side the cross stratum is the plain bipartite
+// matching of the two snapshots, so a one-shard group pair answers
+// draw-for-draw as lsh.SingleSnapshot of the union builds does: identical
+// estimates and curves.
+func TestMergedGeneralSingleShardDelegates(t *testing.T) {
+	fam := lsh.NewSimHash(3)
+	lgs, rgs, _ := crossGroupsAndUnion(t, 150, 120, 10, 1, 1, 1, fam)
+	merged, bs := mergedGeneral(t, lgs, rgs)
+	if _, ok := bs.(*lsh.Bipartite); !ok {
+		t.Fatalf("1×1 stratum is %T, want the plain *lsh.Bipartite", bs)
+	}
+	ul, err := lsh.BuildSnapshot(lgs.Data(), fam, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ur, err := lsh.BuildSnapshot(rgs.Data(), fam, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, ps := mergedGeneral(t, lsh.SingleSnapshot(ul), lsh.SingleSnapshot(ur))
+	if _, ok := ps.(*lsh.Bipartite); !ok {
+		t.Fatalf("single-snapshot stratum is %T, want the plain *lsh.Bipartite", ps)
 	}
 	taus := []float64{0.9, 0.5, 0.7}
 	for seed := uint64(1); seed <= 8; seed++ {
@@ -452,10 +536,7 @@ func TestMergedGeneralTracksExactJoin(t *testing.T) {
 	if exact < 10 {
 		t.Fatalf("planting failed: exact = %v", exact)
 	}
-	est, err := NewMergedGeneralLSHSS(lgs, rgs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	est, _ := mergedGeneral(t, lgs, rgs)
 	var sum float64
 	const reps = 30
 	for i := 0; i < reps; i++ {
@@ -474,11 +555,8 @@ func TestMergedGeneralTracksExactJoin(t *testing.T) {
 // over both plain and merged strata.
 func TestGeneralCurveMonotone(t *testing.T) {
 	lgs, rgs, union := crossGroupsAndUnion(t, 150, 120, 8, 1, 2, 2, lsh.NewSimHash(11))
-	merged, err := NewMergedGeneralLSHSS(lgs, rgs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := NewGeneralLSHSS(union, nil)
+	merged, _ := mergedGeneral(t, lgs, rgs)
+	plain, err := NewGeneralLSHSS(union)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +607,7 @@ func TestMergedBipartiteValidation(t *testing.T) {
 	if _, err := NewMergedBipartiteStratum(base, nil, 0); err == nil {
 		t.Error("nil side accepted")
 	}
-	if _, err := NewMergedGeneralLSHSS(base, nil, nil); err == nil {
-		t.Error("general constructor accepted nil side")
+	if _, err := NewBipartiteStratum(base, nil, 0); err == nil {
+		t.Error("cross stratum accepted nil side")
 	}
 }

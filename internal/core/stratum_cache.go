@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 
@@ -88,31 +87,23 @@ func (c *BipartiteStratumCache) View(left, right *lsh.GroupSnapshot) (BipartiteS
 // build constructs the view for one captured pair outside the lock and
 // returns every component it holds (reused or fresh) keyed by shard pair.
 func (c *BipartiteStratumCache) build(left, right *lsh.GroupSnapshot, reuse map[[2]int]*lsh.Bipartite) (BipartiteStratum, map[[2]int]*lsh.Bipartite, error) {
-	if left.S() == 1 && right.S() == 1 {
-		if err := lsh.CompatibleCross(left, right); err != nil {
-			return nil, nil, fmt.Errorf("core: %w", err)
-		}
-		bp := reuse[[2]int{0, 0}]
+	fresh := matchShards(left, right, c.t)
+	built := make(map[[2]int]*lsh.Bipartite, left.S()*right.S())
+	view, err := bipartiteStratum(left, right, c.t, func(a, b int) (*lsh.Bipartite, error) {
+		bp := reuse[[2]int{a, b}]
 		if bp == nil {
 			var err error
-			bp, err = lsh.NewBipartite(left.Snap(0), right.Snap(0), c.t)
-			if err != nil {
-				return nil, nil, err
+			if bp, err = fresh(a, b); err != nil {
+				return nil, err
 			}
 		}
-		return bp, map[[2]int]*lsh.Bipartite{{0, 0}: bp}, nil
-	}
-	ms, err := newMergedBipartiteStratumReuse(left, right, c.t, func(a, b int) *lsh.Bipartite {
-		return reuse[[2]int{a, b}]
+		built[[2]int{a, b}] = bp
+		return bp, nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	built := make(map[[2]int]*lsh.Bipartite, len(ms.comps))
-	for i, comp := range ms.comps {
-		built[[2]int{i / right.S(), i % right.S()}] = comp.bp
-	}
-	return ms, built, nil
+	return view, built, nil
 }
 
 // versionPairAdvances reports whether the (left, right) version-vector pair

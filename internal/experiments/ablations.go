@@ -4,6 +4,7 @@ import (
 	"lshjoin/internal/core"
 	"lshjoin/internal/dataset"
 	"lshjoin/internal/lc"
+	"lshjoin/internal/lsh"
 	"lshjoin/internal/xrand"
 )
 
@@ -38,15 +39,15 @@ func (s *Suite) AblationJU() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	closed, err := core.NewJU(env.Snap, core.JUClosedForm)
+	closed, err := core.NewMergedJU(lsh.SingleSnapshot(env.Snap), core.JUClosedForm)
 	if err != nil {
 		return nil, err
 	}
-	numeric, err := core.NewJU(env.Snap, core.JUNumeric)
+	numeric, err := core.NewMergedJU(lsh.SingleSnapshot(env.Snap), core.JUNumeric)
 	if err != nil {
 		return nil, err
 	}
-	lshS, err := core.NewLSHS(env.Snap, 0)
+	lshS, err := core.NewMergedLSHS(lsh.SingleSnapshot(env.Snap), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -86,11 +87,11 @@ func (s *Suite) AblationSafeLowerBound() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	safe, err := core.NewLSHSS(env.Snap, nil)
+	safe, err := core.NewMergedLSHSS(lsh.SingleSnapshot(env.Snap), nil)
 	if err != nil {
 		return nil, err
 	}
-	always, err := core.NewLSHSS(env.Snap, nil, core.WithAlwaysScale())
+	always, err := core.NewMergedLSHSS(lsh.SingleSnapshot(env.Snap), nil, core.WithAlwaysScale())
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +135,7 @@ func (s *Suite) AblationStratification() (*Table, error) {
 		return nil, err
 	}
 	data := env.Data.Vectors
-	ss, err := core.NewLSHSS(env.Snap, nil)
+	ss, err := core.NewMergedLSHSS(lsh.SingleSnapshot(env.Snap), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -176,15 +177,15 @@ func (s *Suite) AblationMultiTable() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	single, err := core.NewLSHSS(env.Snap, nil)
+	single, err := core.NewMergedLSHSS(lsh.SingleSnapshot(env.Snap), nil)
 	if err != nil {
 		return nil, err
 	}
-	median, err := core.NewMedianSS(env.Snap, nil)
+	median, err := core.NewMergedMedianSS(lsh.SingleSnapshot(env.Snap), nil)
 	if err != nil {
 		return nil, err
 	}
-	virtual, err := core.NewVirtualSS(env.Snap, nil)
+	virtual, err := core.NewMergedVirtualSS(lsh.SingleSnapshot(env.Snap), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 
 	"lshjoin/internal/core"
 	"lshjoin/internal/dataset"
+	"lshjoin/internal/lsh"
 	"lshjoin/internal/xrand"
 )
 
@@ -13,11 +14,11 @@ import (
 // (m_H = m_L = n, δ = log n, m_R = 1.5n).
 func stdEstimators(env *Env) ([]core.Estimator, error) {
 	data := env.Data.Vectors
-	ss, err := core.NewLSHSS(env.Snap, nil)
+	ss, err := core.NewMergedLSHSS(lsh.SingleSnapshot(env.Snap), nil)
 	if err != nil {
 		return nil, err
 	}
-	ssd, err := core.NewLSHSS(env.Snap, nil, core.WithDamp(core.DampAuto, 0))
+	ssd, err := core.NewMergedLSHSS(lsh.SingleSnapshot(env.Snap), nil, core.WithDamp(core.DampAuto, 0))
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +114,7 @@ func (s *Suite) Figure9() ([]*Table, error) {
 		return nil, err
 	}
 	data := env.Data.Vectors
-	ss, err := core.NewLSHSS(env.Snap, nil)
+	ss, err := core.NewMergedLSHSS(lsh.SingleSnapshot(env.Snap), nil)
 	if err != nil {
 		return nil, err
 	}

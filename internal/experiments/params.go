@@ -37,11 +37,11 @@ func (s *Suite) Figure4() ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			ss, err := core.NewLSHSS(snap, nil)
+			ss, err := core.NewMergedLSHSS(lsh.SingleSnapshot(snap), nil)
 			if err != nil {
 				return nil, err
 			}
-			lshS, err := core.NewLSHS(snap, 0)
+			lshS, err := core.NewMergedLSHS(lsh.SingleSnapshot(snap), 0)
 			if err != nil {
 				return nil, err
 			}
@@ -130,7 +130,7 @@ func (s *Suite) Figure56() ([]*Table, error) {
 		if delta < 1 {
 			delta = 1
 		}
-		e, err := core.NewLSHSS(env.Snap, nil, core.WithDelta(delta))
+		e, err := core.NewMergedLSHSS(lsh.SingleSnapshot(env.Snap), nil, core.WithDelta(delta))
 		return sweepPoint{label: label, est: e}, err
 	}
 	var pts []sweepPoint
@@ -192,7 +192,7 @@ func (s *Suite) Figure78() ([]*Table, error) {
 		if m < 2 {
 			m = 2
 		}
-		ss, err := core.NewLSHSS(env.Snap, nil, core.WithSampleSizes(m, m))
+		ss, err := core.NewMergedLSHSS(lsh.SingleSnapshot(env.Snap), nil, core.WithSampleSizes(m, m))
 		if err != nil {
 			return nil, err
 		}
@@ -231,19 +231,19 @@ func (s *Suite) CsSweep() ([]*Table, error) {
 		est   core.Estimator
 	}
 	var cfgs []cfg
-	plain, err := core.NewLSHSS(env.Snap, nil)
+	plain, err := core.NewMergedLSHSS(lsh.SingleSnapshot(env.Snap), nil)
 	if err != nil {
 		return nil, err
 	}
 	cfgs = append(cfgs, cfg{"safe lower bound (LSH-SS)", plain})
 	for _, cs := range []float64{0.1, 0.5, 1.0} {
-		e, err := core.NewLSHSS(env.Snap, nil, core.WithDamp(core.DampConst, cs))
+		e, err := core.NewMergedLSHSS(lsh.SingleSnapshot(env.Snap), nil, core.WithDamp(core.DampConst, cs))
 		if err != nil {
 			return nil, err
 		}
 		cfgs = append(cfgs, cfg{fmt.Sprintf("c_s = %.1f", cs), e})
 	}
-	auto, err := core.NewLSHSS(env.Snap, nil, core.WithDamp(core.DampAuto, 0))
+	auto, err := core.NewMergedLSHSS(lsh.SingleSnapshot(env.Snap), nil, core.WithDamp(core.DampAuto, 0))
 	if err != nil {
 		return nil, err
 	}

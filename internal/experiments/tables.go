@@ -124,11 +124,11 @@ func (s *Suite) RuntimeTable() ([]*Table, error) {
 		return nil, err
 	}
 	data := env.Data.Vectors
-	ss, err := core.NewLSHSS(env.Snap, nil)
+	ss, err := core.NewMergedLSHSS(lsh.SingleSnapshot(env.Snap), nil)
 	if err != nil {
 		return nil, err
 	}
-	ssd, err := core.NewLSHSS(env.Snap, nil, core.WithDamp(core.DampAuto, 0))
+	ssd, err := core.NewMergedLSHSS(lsh.SingleSnapshot(env.Snap), nil, core.WithDamp(core.DampAuto, 0))
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +140,7 @@ func (s *Suite) RuntimeTable() ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	lshS, err := core.NewLSHS(env.Snap, 0)
+	lshS, err := core.NewMergedLSHS(lsh.SingleSnapshot(env.Snap), 0)
 	if err != nil {
 		return nil, err
 	}

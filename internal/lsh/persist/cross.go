@@ -65,6 +65,7 @@ func CreateCross(fsys faultfs.FS, dir string, left, right *lsh.ShardGroup) (left
 		return nil, nil, fmt.Errorf("left side: %w", err)
 	}
 	if rightStores, err = CreateGroup(fsys, CrossSideDir(dir, false), right); err != nil {
+		closeStores(leftStores)
 		return nil, nil, fmt.Errorf("right side: %w", err)
 	}
 	meta := CrossMeta{
@@ -73,6 +74,7 @@ func CreateCross(fsys faultfs.FS, dir string, left, right *lsh.ShardGroup) (left
 		RightVersions: groupVersions(rightStores),
 	}
 	if err := WriteCrossManifest(fsys, dir, meta); err != nil {
+		closeStores(append(leftStores, rightStores...))
 		return nil, nil, err
 	}
 	return leftStores, rightStores, nil
@@ -84,12 +86,8 @@ func CreateCross(fsys faultfs.FS, dir string, left, right *lsh.ShardGroup) (left
 // the recovered version-vector pair.
 func OpenCross(fsys faultfs.FS, dir string) (left, right *lsh.ShardGroup, leftStores, rightStores []*Store, meta CrossMeta, err error) {
 	fail := func(err error) (*lsh.ShardGroup, *lsh.ShardGroup, []*Store, []*Store, CrossMeta, error) {
-		for _, st := range leftStores {
-			st.Close()
-		}
-		for _, st := range rightStores {
-			st.Close()
-		}
+		closeStores(leftStores)
+		closeStores(rightStores)
 		return nil, nil, nil, nil, meta, err
 	}
 	mdata, err := fsys.ReadFile(filepath.Join(dir, crossName))

@@ -741,17 +741,29 @@ func CreateGroup(fsys faultfs.FS, dir string, g *lsh.ShardGroup) ([]*Store, erro
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	stores := make([]*Store, g.S())
+	stores := make([]*Store, 0, g.S())
 	for s := 0; s < g.S(); s++ {
-		if stores[s], err = Create(fsys, ShardDir(dir, s), g.Shard(s)); err != nil {
+		st, err := Create(fsys, ShardDir(dir, s), g.Shard(s))
+		if err != nil {
+			closeStores(stores)
 			return nil, err
 		}
+		stores = append(stores, st)
 	}
 	meta := GroupMeta{Family: spec, K: g.K(), Ell: g.L(), Shards: g.S(), Versions: groupVersions(stores)}
 	if err := WriteGroupManifest(fsys, dir, meta); err != nil {
+		closeStores(stores)
 		return nil, err
 	}
 	return stores, nil
+}
+
+// closeStores releases stores on a failed create or open, so the failure
+// leaves no log handle behind.
+func closeStores(stores []*Store) {
+	for _, st := range stores {
+		st.Close()
+	}
 }
 
 // OpenGroup recovers a sharded store: the GROUP manifest names the shape,
@@ -779,12 +791,8 @@ func OpenGroup(fsys faultfs.FS, dir string) (*lsh.ShardGroup, []*Store, GroupMet
 	}
 	idxs := make([]*lsh.Index, meta.Shards)
 	stores := make([]*Store, 0, meta.Shards)
-	// fail releases the shard stores already opened, so a failed open
-	// leaves no log handle behind.
 	fail := func(err error) (*lsh.ShardGroup, []*Store, GroupMeta, error) {
-		for _, st := range stores {
-			st.Close()
-		}
+		closeStores(stores)
 		return nil, nil, meta, err
 	}
 	for s := 0; s < meta.Shards; s++ {

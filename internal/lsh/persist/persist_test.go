@@ -894,6 +894,53 @@ func TestFailedOpenClosesStores(t *testing.T) {
 	})
 }
 
+// TestFailedCreateClosesStores sweeps a ModeErr fault over every mutating
+// operation of a 3-shard CreateGroup and a 3×3 CreateCross: a create that
+// fails after some shard stores exist must close them, or every retried
+// create leaks their log handles.
+func TestFailedCreateClosesStores(t *testing.T) {
+	newGroup := func(t *testing.T, seed uint64) *lsh.ShardGroup {
+		g, err := lsh.NewShardGroup(testData(30, seed), lsh.NewSimHash(37), 6, 1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	sweep := func(t *testing.T, create func(fsys faultfs.FS) ([]*Store, error)) {
+		mem := faultfs.NewMem()
+		stores, err := create(mem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		closeStores(stores)
+		ops := mem.Ops()
+		for op := 1; op <= ops; op++ {
+			mem := faultfs.NewMem()
+			mem.SetPlan(faultfs.Plan{Op: op, Mode: faultfs.ModeErr})
+			fsys := &handleFS{MemFS: mem}
+			stores, err := create(fsys)
+			if err == nil {
+				t.Fatalf("op %d of %d: fault did not fail the create", op, ops)
+			}
+			closeStores(stores)
+			if n := fsys.openHandles(); n != 0 {
+				t.Errorf("op %d of %d: failed create left %d handles open (%v)", op, ops, n, err)
+			}
+		}
+	}
+	t.Run("group", func(t *testing.T) {
+		sweep(t, func(fsys faultfs.FS) ([]*Store, error) {
+			return CreateGroup(fsys, "grp", newGroup(t, 191))
+		})
+	})
+	t.Run("cross", func(t *testing.T) {
+		sweep(t, func(fsys faultfs.FS) ([]*Store, error) {
+			ls, rs, err := CreateCross(fsys, "xj", newGroup(t, 193), newGroup(t, 197))
+			return append(ls, rs...), err
+		})
+	})
+}
+
 // TestCrossRoundtrip: a two-sided store reopens as a pair of groups whose
 // shards recover to a componentwise-consistent version-vector pair, deep-
 // equal to the last durable publish of each.

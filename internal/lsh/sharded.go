@@ -315,9 +315,9 @@ type GroupSnapshot struct {
 }
 
 // SingleSnapshot wraps one snapshot as a single-shard GroupSnapshot, so
-// code written against the shard-vector view (the merged estimator
-// constructors, which all delegate to their single-snapshot counterparts at
-// S = 1) can serve an unsharded index without a separate code path.
+// code written against the shard-vector view (the estimator constructors
+// of internal/core, which stratify a one-shard group by its snapshot's own
+// tables) can serve an unsharded index without a separate code path.
 func SingleSnapshot(s *Snapshot) *GroupSnapshot {
 	return newGroupSnapshot([]*Snapshot{s})
 }
