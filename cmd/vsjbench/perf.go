@@ -118,14 +118,18 @@ func runPerf(outPath string) (*perfReport, error) {
 		// 8 fused tables: ℓ·k = 160 lanes per vocabulary row, all signed in
 		// one pass over a resident projection cache.
 		for i := 0; i < b.N; i++ {
-			_ = lsh.SignDigest(data, lsh.NewSimHash(uint64(i+1)), k, 8, lsh.SignConfig{PanelBytes: 256 << 20})
+			if _, err := lsh.SignDigest(data, lsh.NewSimHash(uint64(i+1)), k, 8, lsh.SignConfig{PanelBytes: 256 << 20}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	add("sign_panel_streamed", func(b *testing.B) {
 		// Same workload under a 4 MiB budget: the projection cache streams in
 		// dimension-block panels with identical output.
 		for i := 0; i < b.N; i++ {
-			_ = lsh.SignDigest(data, lsh.NewSimHash(uint64(i+1)), k, 8, lsh.SignConfig{PanelBytes: 4 << 20})
+			if _, err := lsh.SignDigest(data, lsh.NewSimHash(uint64(i+1)), k, 8, lsh.SignConfig{PanelBytes: 4 << 20}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	add("signature_simhash_k20_naive", func(b *testing.B) {

@@ -76,11 +76,11 @@ func NewCrossJoin(left, right []Vector, opt Options) (*CrossJoin, error) {
 		return nil, fmt.Errorf("lshjoin: Shards > 1 requires a 64-bit platform (vector ids pack shard and local index into one int)")
 	}
 	family, sim := familyFor(opt)
-	lg, err := lsh.NewShardGroupSigned(left, family, opt.K, 1, opt.Shards, opt.signConfig())
+	lg, err := lsh.NewShardGroup(left, family, opt.K, 1, opt.Shards)
 	if err != nil {
 		return nil, fmt.Errorf("lshjoin: left index: %w", err)
 	}
-	rg, err := lsh.NewShardGroupSigned(right, family, opt.K, 1, opt.Shards, opt.signConfig())
+	rg, err := lsh.NewShardGroup(right, family, opt.K, 1, opt.Shards)
 	if err != nil {
 		return nil, fmt.Errorf("lshjoin: right index: %w", err)
 	}

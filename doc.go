@@ -171,10 +171,7 @@
 // engine (internal/lsh/engine.go): keyed gaussian / rank rows are
 // materialized once per distinct corpus dimension instead of once per
 // vector, bucket keys are packed machine words whenever k·Bits() ≤ 64, and
-// signing parallelizes across cores. Bucket insertion is shard-parallel
-// (internal/lsh/build.go): keys scatter across fixed key-hash shards whose
-// buckets build independently and merge into the canonical first-appearance
-// order, byte-identical to a serial build at any GOMAXPROCS. Estimator
+// signing parallelizes across cores. Estimator
 // sampling (LSH-SS's SampleH and SampleL, and the multi-table median) fans
 // out across deterministic RNG-split shards, so estimates are bit-for-bit
 // reproducible for a given seed at any GOMAXPROCS. When a table's stratum H
@@ -191,9 +188,7 @@
 // bit-for-bit, so signatures — and therefore buckets, snapshots, and
 // estimates — never depend on the build. Projections for all ℓ tables are
 // cached in one ℓ·k-wide dimension-major panel (one vocabulary pass per
-// corpus instead of ℓ), and builds stream that panel in column blocks
-// bounded by Options.SignPanelBytes, so signing memory stays flat however
-// large the vocabulary grows.
+// corpus instead of ℓ).
 //
 // Run `vsjbench -perf` to regenerate the BENCH_lsh.json hot-path timings
 // tracked in the repository root, including a mixed Estimate+Insert serving

@@ -8,7 +8,7 @@ import (
 )
 
 // Per-version space accounting. Consecutive snapshots share almost all of
-// their structure (key backing arrays, bucket id slices, base lookup maps,
+// their structure (key backing arrays, bucket id slices, the base lookup map,
 // Fenwick subtrees), so the interesting quantity for snapshot GC is not a
 // version's total footprint but what it retains *beyond* the version it
 // grew from — the bytes that stay pinned as long as both versions are
@@ -25,7 +25,8 @@ import (
 // retention tests assert against (see retention_test.go).
 
 const (
-	// mapEntryBytes is the flat per-entry estimate for bucket lookup maps.
+	// mapEntryBytes is the flat per-entry estimate for the bucket lookup
+	// maps (the base map and the overlay).
 	mapEntryBytes = 16
 )
 
@@ -107,31 +108,10 @@ func retainedVectors(cur, base []vecmath.Vector, haveBase bool) int64 {
 // retainedBytes charges one table against its base-version counterpart.
 func (t *Table) retainedBytes(bt *Table) int64 {
 	var total int64
-	// Per-vector key arrays.
 	if t.narrow {
-		if bt != nil && sliceShared(t.keys64, bt.keys64) {
-			total += 8 * int64(len(t.keys64)-len(bt.keys64))
-		} else {
-			total += 8 * int64(cap(t.keys64))
-		}
+		total += retainedKeys[uint64](t, bt, 8)
 	} else {
-		if bt != nil && sliceShared(t.keysStr, bt.keysStr) {
-			total += strHdrBytes * int64(len(t.keysStr)-len(bt.keysStr))
-		} else {
-			total += strHdrBytes * int64(cap(t.keysStr))
-		}
-	}
-	// Base lookup maps are shared wholesale until a compaction rebuilds
-	// them; the overlay map is copied whenever a merge appends buckets.
-	baseShared := bt != nil &&
-		(sliceShared(t.base64, bt.base64) || sliceShared(t.baseStr, bt.baseStr))
-	if !baseShared {
-		total += mapEntryBytes * int64(t.nbase)
-	}
-	ovlShared := bt != nil &&
-		mapPtr(t.ovl64) == mapPtr(bt.ovl64) && mapPtr(t.ovlStr) == mapPtr(bt.ovlStr)
-	if !ovlShared {
-		total += mapEntryBytes * int64(len(t.ovl64)+len(t.ovlStr))
+		total += retainedKeys[string](t, bt, strHdrBytes)
 	}
 	// Fenwick nodes and buckets: walk this table's tree, pruning every
 	// subtree shared with the base version, and charge new leaves against
@@ -178,6 +158,31 @@ func (t *Table) retainedBytes(bt *Table) int64 {
 		rec(n.r, lo+sp/2, sp/2)
 	}
 	rec(t.w.root, 0, t.w.span)
+	return total
+}
+
+// retainedKeys charges a table's key column, elem bytes per key, and its
+// lookup maps against the base-version counterpart bt (nil for none).
+func retainedKeys[K key](t, bt *Table, elem int64) int64 {
+	x := keysOf[K](t)
+	var bx *keyIndex[K]
+	if bt != nil {
+		bx = keysOf[K](bt)
+	}
+	var total int64
+	if bx != nil && sliceShared(x.keys, bx.keys) {
+		total += elem * int64(len(x.keys)-len(bx.keys))
+	} else {
+		total += elem * int64(cap(x.keys))
+	}
+	// The base map is shared wholesale until a compaction rebuilds it; the
+	// overlay map is copied whenever a merge appends buckets.
+	if bx == nil || mapPtr(x.base) != mapPtr(bx.base) {
+		total += mapEntryBytes * int64(t.nbase)
+	}
+	if bx == nil || mapPtr(x.ovl) != mapPtr(bx.ovl) {
+		total += mapEntryBytes * int64(len(x.ovl))
+	}
 	return total
 }
 

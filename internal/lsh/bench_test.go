@@ -40,7 +40,7 @@ func BenchmarkBuildK20Naive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f := NewSimHash(uint64(i + 1))
 		keys := naiveKeys(data, f, 20, 1)
-		if tab := newTableStr(keys[0], 20, 0, 1); tab.N() != len(data) {
+		if tab := buildTable(keys[0], 20, 0, 1); tab.N() != len(data) {
 			b.Fatal("bad table")
 		}
 	}

@@ -23,7 +23,6 @@ type Bipartite struct {
 }
 
 type bucketMatch struct {
-	key         string
 	left, right []int32
 }
 
@@ -43,23 +42,10 @@ func NewBipartite(left, right *Snapshot, t int) (*Bipartite, error) {
 	}
 	b := &Bipartite{left: left, right: right, table: t,
 		ltab: left.Table(t), rtab: right.Table(t)}
-	// Deterministic order: iterate left buckets in insertion order. Narrow
-	// tables match on machine words; only the stored diagnostic key is a
-	// string.
-	if b.ltab.Narrow() {
-		b.ltab.w.walk(func(_ int, lb *bucket) bool {
-			if rids := b.rtab.bucket64(lb.key64); len(rids) > 0 {
-				b.matches = append(b.matches, bucketMatch{key: key64String(lb.key64), left: lb.ids, right: rids})
-			}
-			return true
-		})
+	if b.ltab.narrow {
+		b.matches = matchBuckets[uint64](b.ltab, b.rtab)
 	} else {
-		b.ltab.ForEachBucket(func(key string, ids []int32) bool {
-			if rids := b.rtab.BucketIDs(key); len(rids) > 0 {
-				b.matches = append(b.matches, bucketMatch{key: key, left: ids, right: rids})
-			}
-			return true
-		})
+		b.matches = matchBuckets[string](b.ltab, b.rtab)
 	}
 	b.cum = make([]int64, len(b.matches))
 	var total int64
@@ -86,10 +72,24 @@ func (b *Bipartite) NL() int64 { return b.M() - b.nh }
 // mode this is a machine-word compare with no allocation (the estimators'
 // stratum-L rejection sampler calls it per candidate pair).
 func (b *Bipartite) SameBucket(u, v int) bool {
-	if b.ltab.Narrow() {
-		return b.ltab.key64(u) == b.rtab.key64(v)
+	if b.ltab.narrow {
+		return b.ltab.words.keys[u] == b.rtab.words.keys[v]
 	}
-	return b.ltab.keysStr[u] == b.rtab.keysStr[v]
+	return b.ltab.strs.keys[u] == b.rtab.strs.keys[v]
+}
+
+// matchBuckets lists the buckets of l whose key r also holds, paired with
+// r's bucket, in l's bucket order.
+func matchBuckets[K key](l, r *Table) []bucketMatch {
+	rx := keysOf[K](r)
+	var out []bucketMatch
+	l.w.walk(func(_ int, lb *bucket) bool {
+		if bi, ok := rx.lookup(*keyOf[K](lb)); ok {
+			out = append(out, bucketMatch{left: lb.ids, right: r.w.at(int(bi)).ids})
+		}
+		return true
+	})
+	return out
 }
 
 // SamplePair draws a uniform random cross pair from stratum H: a matched

@@ -1,138 +1,107 @@
 package lsh
 
-import (
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+// Table construction. Build and restore share one serial walk over the
+// per-vector bucket keys, and merges (dynamic.go) extend what it built.
+// Each is written once for both key widths: bucket keys are uint64 words in
+// narrow mode and packed strings in wide mode (see Table), and the helpers
+// below reach a table's or a bucket's key of either width through a type
+// assertion on a pointer: a type-word compare that never allocates.
 
-// Shard-parallel table construction (the ROADMAP item "shard-parallel table
-// build"). Bucket insertion used to walk the key slice serially, paying one
-// map operation per vector on a single core. The builder here splits that
-// work by key shard:
-//
-//  1. classify every key into one of tableShards shards (parallel over
-//     fixed-size chunks),
-//  2. stable-scatter the vector ids into per-shard runs, preserving global
-//     id order within each shard (parallel over the same chunks),
-//  3. build each shard's buckets and its base map independently (parallel
-//     over shards),
-//  4. merge: the global bucket order sorts all shard buckets by first
-//     member id — exactly the first-appearance order a serial walk
-//     produces — then shard maps are rewritten to global bucket indices
-//     (parallel over shards).
-//
-// Every intermediate is a pure function of the keys: the shard of a key,
-// the chunk boundaries (fixed buildChunk, never GOMAXPROCS), the scatter
-// positions and the merged order are all worker-count independent, so the
-// resulting table is byte-identical whatever the parallelism — build_test.go
-// asserts this against the workers=1 path.
+// key is a bucket key: the packed machine word of a narrow-mode table, or
+// the packed big-endian string of a wide-mode one.
+type key interface{ uint64 | string }
 
-// buildChunk is the fixed scatter granularity. It must not depend on the
-// worker count: chunk boundaries determine nothing in the output (scatter
-// positions are precomputed per chunk), but keeping them fixed makes the
-// execution schedule itself deterministic and easy to reason about.
-const buildChunk = 8192
-
-// buildSerialCutoff is the table size below which the builder stays on one
-// goroutine: spawning workers costs more than the build itself.
-const buildSerialCutoff = 4096
-
-// buildWorkers picks the worker count for n keys.
-func buildWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w < 2 || n < buildSerialCutoff {
-		return 1
-	}
-	return w
+// keyIndex is a table's width-dependent state: the per-vector key column
+// and the two-level bucket lookup.
+type keyIndex[K key] struct {
+	keys []K         // per-vector bucket key, index = vector id
+	base map[K]int32 // buckets [0, nbase), frozen at build and compaction
+	ovl  map[K]int32 // buckets appended by merges since
 }
 
-// parallelN runs fn(0..n-1) on up to workers goroutines, stealing indices
-// from a shared counter. fn must write only to state owned by its index.
-func parallelN(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
+// lookup resolves a key to its bucket index.
+func (x *keyIndex[K]) lookup(k K) (int32, bool) {
+	if bi, ok := x.base[k]; ok {
+		return bi, true
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	bi, ok := x.ovl[k]
+	return bi, ok
 }
 
-// scatter partitions [0, n) into tableShards runs by shardOf, preserving
-// ascending id order within each run. It returns the concatenated runs and
-// the start offset of each shard (starts has tableShards+1 entries).
-func scatter(n, workers int, shardOf func(i int) uint8) (idxs []int32, starts []int32) {
-	nch := (n + buildChunk - 1) / buildChunk
-	shards := make([]uint8, n)
-	counts := make([]int32, nch*tableShards)
-	parallelN(nch, workers, func(c int) {
-		lo, hi := c*buildChunk, (c+1)*buildChunk
-		if hi > n {
-			hi = n
-		}
-		row := counts[c*tableShards : (c+1)*tableShards]
-		for i := lo; i < hi; i++ {
-			s := shardOf(i)
-			shards[i] = s
-			row[s]++
-		}
-	})
-	starts = make([]int32, tableShards+1)
-	for s := 0; s < tableShards; s++ {
-		var tot int32
-		for c := 0; c < nch; c++ {
-			tot += counts[c*tableShards+s]
-		}
-		starts[s+1] = starts[s] + tot
+// isWord reports whether K is the narrow-mode machine word.
+func isWord[K key]() bool {
+	var k K
+	_, ok := any(k).(uint64)
+	return ok
+}
+
+// keysOf returns t's key index of type K, which must match t's mode.
+func keysOf[K key](t *Table) *keyIndex[K] {
+	if x, ok := any(&t.words).(*keyIndex[K]); ok {
+		return x
 	}
-	// Rewrite counts in place into per-(chunk, shard) write positions.
-	for s := 0; s < tableShards; s++ {
-		pos := starts[s]
-		for c := 0; c < nch; c++ {
-			pos, counts[c*tableShards+s] = pos+counts[c*tableShards+s], pos
-		}
+	return any(&t.strs).(*keyIndex[K])
+}
+
+// keyOf returns a pointer to b's key of type K.
+func keyOf[K key](b *bucket) *K {
+	if p, ok := any(&b.key64).(*K); ok {
+		return p
 	}
-	idxs = make([]int32, n)
-	parallelN(nch, workers, func(c int) {
-		lo, hi := c*buildChunk, (c+1)*buildChunk
-		if hi > n {
-			hi = n
+	return any(&b.keyStr).(*K)
+}
+
+// parseKey inverts the canonical string form of a key of type K; s must
+// have the mode's width.
+func parseKey[K key](s string) K {
+	var k K
+	switch p := any(&k).(type) {
+	case *uint64:
+		*p, _ = parseKey64(s)
+	case *string:
+		*p = s
+	}
+	return k
+}
+
+// buildTable indexes one table over per-vector bucket keys, keys[i] being
+// the key of vector i, and keeps keys as its key column. One serial walk
+// numbers the buckets in first-appearance order — ascending first member
+// id, the order the samplers and checkpoints depend on — with bucket
+// headers carved from one backing slice whose capacity (#keys) bounds the
+// distinct-key count, so append never reallocates and the *bucket pointers
+// stay valid. Member ids are carved from one shared arena afterwards.
+func buildTable[K key](keys []K, k, fnBase, bits int) *Table {
+	t := &Table{k: k, fnBase: fnBase, n: len(keys), bits: bits, narrow: isWord[K]()}
+	x := keysOf[K](t)
+	x.keys = keys
+	x.base = make(map[K]int32, len(keys))
+	bks := make([]bucket, 0, len(keys))
+	order := make([]*bucket, 0, len(keys))
+	vb := getI32(len(keys))
+	for i, key := range keys {
+		bi, ok := x.base[key]
+		if !ok {
+			bi = int32(len(order))
+			x.base[key] = bi
+			bks = append(bks, bucket{})
+			b := &bks[len(bks)-1]
+			*keyOf[K](b) = key
+			order = append(order, b)
 		}
-		row := counts[c*tableShards : (c+1)*tableShards]
-		for i := lo; i < hi; i++ {
-			s := shards[i]
-			idxs[row[s]] = int32(i)
-			row[s]++
-		}
-	})
-	return idxs, starts
+		vb[i] = bi
+	}
+	fillBucketIDs(order, vb[:len(keys)])
+	putI32(vb)
+	t.freezeOrder(order)
+	return t
 }
 
 // fillBucketIDs carves one shared int32 arena into per-bucket id slices. vb
-// maps each vector id to its bucket index; walking vb in id order reproduces
-// the ascending ids a serial append walk yields. Each bucket's slice is
-// capacity-clamped to its arena range, so a later dynamic append migrates
-// that bucket onto its own backing instead of clobbering a neighbour.
+// maps each vector id to its bucket index; walking vb in id order yields
+// ascending ids per bucket. Each bucket's slice is capacity-clamped to its
+// arena range, so a later dynamic append migrates that bucket onto its own
+// backing instead of clobbering a neighbour.
 func fillBucketIDs(order []*bucket, vb []int32) {
 	counts := getI32(len(order))
 	for i := range counts {
@@ -155,197 +124,10 @@ func fillBucketIDs(order []*bucket, vb []int32) {
 	putI32(counts)
 }
 
-// mergeShardBuckets flattens per-shard bucket lists into the global bucket
-// order (ascending first member id — the serial first-appearance order) and
-// returns, per shard, the global index of each of its buckets.
-func mergeShardBuckets(sb [][]*bucket, narrow bool) (order []*bucket, globals [][]int32) {
-	total := 0
-	for _, bks := range sb {
-		total += len(bks)
-	}
-	order = make([]*bucket, 0, total)
-	for _, bks := range sb {
-		order = append(order, bks...)
-	}
-	sort.Slice(order, func(a, b int) bool { return order[a].ids[0] < order[b].ids[0] })
-	globals = make([][]int32, tableShards)
-	for s, bks := range sb {
-		if len(bks) > 0 {
-			globals[s] = make([]int32, 0, len(bks))
-		}
-	}
-	// Shard bucket lists are themselves sorted by first id, so appending in
-	// global order recovers each shard's local order.
-	for gi, b := range order {
-		var s int
-		if narrow {
-			s = shard64(b.key64)
-		} else {
-			s = shardStr(b.keyStr)
-		}
-		globals[s] = append(globals[s], int32(gi))
-	}
-	return order, globals
-}
-
 // freezeOrder publishes a freshly built bucket order as the table's weight
-// tree (O(#buckets), once per full build or compaction) and marks every
-// bucket as base-map covered.
+// tree (O(#buckets), once per build) and marks every bucket as covered by
+// the base map.
 func (t *Table) freezeOrder(order []*bucket) {
 	t.w = newFenwick(order)
 	t.nbase = len(order)
-}
-
-// newTable64 builds a narrow-mode table over pre-computed uint64 bucket keys
-// (one per vector), in parallel for large inputs.
-func newTable64(keys []uint64, k, fnBase, bits int) *Table {
-	return buildTable64(keys, k, fnBase, bits, buildWorkers(len(keys)))
-}
-
-// buildTable64 is newTable64 with an explicit worker count (build_test.go
-// compares workers=1 against workers>1). workers=1 takes the direct serial
-// walk — one pass, first-appearance bucket order by construction; workers>1
-// takes the scatter/merge pipeline, which reproduces that order exactly.
-func buildTable64(keys []uint64, k, fnBase, bits, workers int) *Table {
-	t := &Table{
-		k: k, fnBase: fnBase, n: len(keys), bits: bits, narrow: true,
-		keys64: keys,
-		base64: make([]map[uint64]int32, tableShards),
-	}
-	if workers <= 1 {
-		// Serial walk with arena allocation: bucket structs come from one
-		// backing slice whose capacity (#keys) bounds the distinct-key count,
-		// so append never reallocates and the *bucket pointers stay valid.
-		// Ids are carved from one shared arena afterwards — two allocations
-		// where the naive walk paid two per distinct key.
-		bks := make([]bucket, 0, len(keys))
-		order := make([]*bucket, 0, len(keys))
-		vb := getI32(len(keys))
-		sizeHint := len(keys)/tableShards + 16
-		for i, key := range keys {
-			s := shard64(key)
-			m := t.base64[s]
-			if m == nil {
-				m = make(map[uint64]int32, sizeHint)
-				t.base64[s] = m
-			}
-			bi, ok := m[key]
-			if !ok {
-				bi = int32(len(order))
-				m[key] = bi
-				bks = append(bks, bucket{key64: key})
-				order = append(order, &bks[len(bks)-1])
-			}
-			vb[i] = bi
-		}
-		fillBucketIDs(order, vb[:len(keys)])
-		putI32(vb)
-		t.freezeOrder(order)
-		return t
-	}
-	idxs, starts := scatter(len(keys), workers, func(i int) uint8 { return uint8(shard64(keys[i])) })
-	sb := make([][]*bucket, tableShards)
-	parallelN(tableShards, workers, func(s int) {
-		lo, hi := starts[s], starts[s+1]
-		if lo == hi {
-			return
-		}
-		m := make(map[uint64]int32, int(hi-lo)/2+1)
-		var bks []*bucket
-		for _, i := range idxs[lo:hi] {
-			key := keys[i]
-			li, ok := m[key]
-			if !ok {
-				li = int32(len(bks))
-				m[key] = li
-				bks = append(bks, &bucket{key64: key})
-			}
-			b := bks[li]
-			b.ids = append(b.ids, i)
-		}
-		t.base64[s] = m
-		sb[s] = bks
-	})
-	order, globals := mergeShardBuckets(sb, true)
-	parallelN(tableShards, workers, func(s int) {
-		for local, b := range sb[s] {
-			t.base64[s][b.key64] = globals[s][local]
-		}
-	})
-	t.freezeOrder(order)
-	return t
-}
-
-// newTableStr builds a wide-mode table over pre-computed string bucket keys,
-// in parallel for large inputs.
-func newTableStr(keys []string, k, fnBase, bits int) *Table {
-	return buildTableStr(keys, k, fnBase, bits, buildWorkers(len(keys)))
-}
-
-// buildTableStr is newTableStr with an explicit worker count; see
-// buildTable64 for the serial/parallel split.
-func buildTableStr(keys []string, k, fnBase, bits, workers int) *Table {
-	t := &Table{
-		k: k, fnBase: fnBase, n: len(keys), bits: bits, narrow: false,
-		keysStr: keys,
-		baseStr: make([]map[string]int32, tableShards),
-	}
-	if workers <= 1 {
-		// Same arena scheme as buildTable64's serial walk.
-		bks := make([]bucket, 0, len(keys))
-		order := make([]*bucket, 0, len(keys))
-		vb := getI32(len(keys))
-		sizeHint := len(keys)/tableShards + 16
-		for i, key := range keys {
-			s := shardStr(key)
-			m := t.baseStr[s]
-			if m == nil {
-				m = make(map[string]int32, sizeHint)
-				t.baseStr[s] = m
-			}
-			bi, ok := m[key]
-			if !ok {
-				bi = int32(len(order))
-				m[key] = bi
-				bks = append(bks, bucket{keyStr: key})
-				order = append(order, &bks[len(bks)-1])
-			}
-			vb[i] = bi
-		}
-		fillBucketIDs(order, vb[:len(keys)])
-		putI32(vb)
-		t.freezeOrder(order)
-		return t
-	}
-	idxs, starts := scatter(len(keys), workers, func(i int) uint8 { return uint8(shardStr(keys[i])) })
-	sb := make([][]*bucket, tableShards)
-	parallelN(tableShards, workers, func(s int) {
-		lo, hi := starts[s], starts[s+1]
-		if lo == hi {
-			return
-		}
-		m := make(map[string]int32, int(hi-lo)/2+1)
-		var bks []*bucket
-		for _, i := range idxs[lo:hi] {
-			key := keys[i]
-			li, ok := m[key]
-			if !ok {
-				li = int32(len(bks))
-				m[key] = li
-				bks = append(bks, &bucket{keyStr: key})
-			}
-			b := bks[li]
-			b.ids = append(b.ids, i)
-		}
-		t.baseStr[s] = m
-		sb[s] = bks
-	})
-	order, globals := mergeShardBuckets(sb, false)
-	parallelN(tableShards, workers, func(s int) {
-		for local, b := range sb[s] {
-			t.baseStr[s][b.keyStr] = globals[s][local]
-		}
-	})
-	t.freezeOrder(order)
-	return t
 }

@@ -64,46 +64,6 @@ func tablesEqual(t *testing.T, a, b *Table) {
 	}
 }
 
-// TestParallelBuild64MatchesSerial: the shard-parallel narrow-mode builder
-// must be byte-identical to the workers=1 path for the same keys.
-func TestParallelBuild64MatchesSerial(t *testing.T) {
-	rng := xrand.New(401)
-	for _, n := range []int{1, 7, 100, buildChunk - 1, buildChunk + 1, 3 * buildChunk} {
-		keys := make([]uint64, n)
-		for i := range keys {
-			// ~n/3 distinct values so buckets have real membership lists.
-			keys[i] = rng.Uint64n(uint64(n)/3 + 1)
-		}
-		serial := buildTable64(append([]uint64(nil), keys...), 8, 0, 1, 1)
-		for _, workers := range []int{2, 3, 8} {
-			par := buildTable64(append([]uint64(nil), keys...), 8, 0, 1, workers)
-			tablesEqual(t, serial, par)
-		}
-	}
-}
-
-// TestParallelBuildStrMatchesSerial mirrors the wide-mode path.
-func TestParallelBuildStrMatchesSerial(t *testing.T) {
-	rng := xrand.New(403)
-	n := 2*buildChunk + 17
-	vals := make([]uint64, 70)
-	keys := make([]string, n)
-	for i := range keys {
-		for j := range vals {
-			vals[j] = 0
-		}
-		// A couple of low-entropy slots so keys collide into shared buckets.
-		vals[0] = rng.Uint64n(40)
-		vals[69] = rng.Uint64n(7)
-		keys[i] = packKey(vals, 1)
-	}
-	serial := buildTableStr(append([]string(nil), keys...), 70, 0, 1, 1)
-	for _, workers := range []int{2, 8} {
-		par := buildTableStr(append([]string(nil), keys...), 70, 0, 1, workers)
-		tablesEqual(t, serial, par)
-	}
-}
-
 // TestParallelBuildFirstAppearanceOrder pins the bucket-order contract the
 // samplers rely on: order[i] buckets appear by ascending first member id.
 func TestParallelBuildFirstAppearanceOrder(t *testing.T) {
@@ -112,7 +72,7 @@ func TestParallelBuildFirstAppearanceOrder(t *testing.T) {
 	for i := range keys {
 		keys[i] = rng.Uint64n(700)
 	}
-	tab := buildTable64(keys, 8, 0, 1, 4)
+	tab := buildTable(keys, 8, 0, 1)
 	prev := int32(-1)
 	for bi, b := range collectBuckets(tab) {
 		if len(b.ids) == 0 {
@@ -125,9 +85,8 @@ func TestParallelBuildFirstAppearanceOrder(t *testing.T) {
 	}
 }
 
-// TestBuildThroughIndexMatchesForcedWorkers: a real SimHash build (which
-// routes through newTable64 with auto worker count) matches an explicitly
-// serial table construction of the same signatures.
+// TestBuildThroughIndexMatchesForcedWorkers: a real SimHash build matches a
+// table construction straight from the same signatures.
 func TestBuildThroughIndexMatchesForcedWorkers(t *testing.T) {
 	data := randData(6000, 800, 10, 407)
 	fam := NewSimHash(408)
@@ -137,7 +96,7 @@ func TestBuildThroughIndexMatchesForcedWorkers(t *testing.T) {
 	}
 	sigs := newEngine(fam, 16, 2, SignConfig{}).sign(data)
 	for ti := 0; ti < 2; ti++ {
-		serial := buildTable64(sigs.u64[ti], 16, ti*16, 1, 1)
+		serial := buildTable(sigs.u64[ti], 16, ti*16, 1)
 		tablesEqual(t, serial, snap.Table(ti))
 	}
 }

@@ -16,7 +16,7 @@ import (
 // version lock-free.
 //
 // A merge is copy-on-write and costs O(d · log #buckets) for a d-key delta:
-// the new version shares the base lookup maps, the key-array backing and —
+// the new version shares the base lookup map, the key-array backing and —
 // through the persistent Fenwick weight index (fenwick.go) — every untouched
 // bucket and weight subtree with its predecessor. Only the buckets the delta
 // touches get fresh headers, and each lands in the weight tree with one
@@ -26,17 +26,13 @@ import (
 // writer extends them (serialized by Index.mu) and readers of older versions
 // never index past their own length.
 
-// merge64 returns a new narrow-mode table extending t with the pending
-// bucket keys, leaving t untouched for its readers.
-func (t *Table) merge64(keys []uint64) *Table {
-	nt := &Table{
-		k: t.k, fnBase: t.fnBase, n: t.n + len(keys), bits: t.bits, narrow: true,
-		keys64: append(t.keys64, keys...),
-		base64: t.base64,
-		nbase:  t.nbase,
-		ovl64:  t.ovl64,
-		w:      t.w, // O(1) copy; set/push below path-copy away from t's root
-	}
+// merge returns a new table extending t with the bucket keys of the
+// vectors t.N(), t.N()+1, ..., leaving t untouched for its readers.
+func merge[K key](t *Table, keys []K) *Table {
+	nt := *t // shares the key column backing, both maps and the weight tree
+	nt.n += len(keys)
+	x := keysOf[K](&nt)
+	x.keys = append(x.keys, keys...)
 	// touched maps bucket index → this merge's private header, so a bucket
 	// hit several times in one delta is copied (and re-published) once;
 	// appended collects brand-new buckets at indices size0, size0+1, ...
@@ -46,19 +42,21 @@ func (t *Table) merge64(keys []uint64) *Table {
 	ovlCopied := false
 	for i, key := range keys {
 		id := int32(t.n + i)
-		bi, ok := nt.bucketIndex64(key)
+		bi, ok := x.lookup(key)
 		if !ok {
 			if !ovlCopied {
-				m := make(map[uint64]int32, len(t.ovl64)+len(keys)-i)
-				for k2, v2 := range t.ovl64 {
+				m := make(map[K]int32, len(x.ovl)+len(keys)-i)
+				for k2, v2 := range x.ovl {
 					m[k2] = v2
 				}
-				nt.ovl64 = m
+				x.ovl = m
 				ovlCopied = true
 			}
 			bi = int32(size0 + len(appended))
-			nt.ovl64[key] = bi
-			appended = append(appended, &bucket{key64: key, ids: []int32{id}})
+			x.ovl[key] = bi
+			b := &bucket{ids: []int32{id}}
+			*keyOf[K](b) = key
+			appended = append(appended, b)
 			continue
 		}
 		var b *bucket
@@ -67,15 +65,15 @@ func (t *Table) merge64(keys []uint64) *Table {
 		} else if b = touched[bi]; b == nil {
 			// First touch of a shared bucket: copy-on-write its header so
 			// readers of t keep their length.
-			shared := t.w.at(int(bi))
-			b = &bucket{key64: shared.key64, ids: shared.ids}
+			cp := *t.w.at(int(bi))
+			b = &cp
 			touched[bi] = b
 		}
 		b.ids = append(b.ids, id)
 	}
 	nt.applyDelta(touched, appended)
-	nt.maybeCompact()
-	return nt
+	compact[K](&nt)
+	return &nt
 }
 
 // applyDelta publishes a merge's touched and appended buckets into the new
@@ -108,86 +106,23 @@ func (t *Table) applyDelta(touched map[int32]*bucket, appended []*bucket) {
 	}
 }
 
-// mergeStr is merge64 for wide-mode tables.
-func (t *Table) mergeStr(keys []string) *Table {
-	nt := &Table{
-		k: t.k, fnBase: t.fnBase, n: t.n + len(keys), bits: t.bits, narrow: false,
-		keysStr: append(t.keysStr, keys...),
-		baseStr: t.baseStr,
-		nbase:   t.nbase,
-		ovlStr:  t.ovlStr,
-		w:       t.w,
-	}
-	size0 := t.w.size
-	touched := make(map[int32]*bucket, len(keys))
-	var appended []*bucket
-	ovlCopied := false
-	for i, key := range keys {
-		id := int32(t.n + i)
-		bi, ok := nt.bucketIndexStr(key)
-		if !ok {
-			if !ovlCopied {
-				m := make(map[string]int32, len(t.ovlStr)+len(keys)-i)
-				for k2, v2 := range t.ovlStr {
-					m[k2] = v2
-				}
-				nt.ovlStr = m
-				ovlCopied = true
-			}
-			bi = int32(size0 + len(appended))
-			nt.ovlStr[key] = bi
-			appended = append(appended, &bucket{keyStr: key, ids: []int32{id}})
-			continue
-		}
-		var b *bucket
-		if int(bi) >= size0 {
-			b = appended[int(bi)-size0]
-		} else if b = touched[bi]; b == nil {
-			shared := t.w.at(int(bi))
-			b = &bucket{keyStr: shared.keyStr, ids: shared.ids}
-			touched[bi] = b
-		}
-		b.ids = append(b.ids, id)
-	}
-	nt.applyDelta(touched, appended)
-	nt.maybeCompact()
-	return nt
-}
-
-// maybeCompact folds the overlay into fresh sharded base maps once it has
-// outgrown its role as a small delta, keeping lookups near one map probe.
-// This is the one publication path that walks every bucket (via the weight
-// tree's in-order traversal); it runs only when the overlay exceeds a
-// quarter of the base, so its O(#buckets) cost amortizes over the merges
-// that grew the overlay.
-func (t *Table) maybeCompact() {
-	ovl := len(t.ovl64) + len(t.ovlStr)
-	if ovl <= 256 || ovl*4 <= t.nbase {
+// compact folds the overlay into a fresh base map once it has outgrown its
+// role as a small delta, keeping lookups near one map probe. This is the
+// one publication path that walks every bucket (via the weight tree's
+// in-order traversal); it runs only when the overlay exceeds a quarter of
+// the base, so its O(#buckets) cost amortizes over the merges that grew the
+// overlay.
+func compact[K key](t *Table) {
+	x := keysOf[K](t)
+	if len(x.ovl) <= 256 || len(x.ovl)*4 <= t.nbase {
 		return
 	}
-	if t.narrow {
-		base := make([]map[uint64]int32, tableShards)
-		t.w.walk(func(gi int, b *bucket) bool {
-			s := shard64(b.key64)
-			if base[s] == nil {
-				base[s] = make(map[uint64]int32)
-			}
-			base[s][b.key64] = int32(gi)
-			return true
-		})
-		t.base64, t.ovl64 = base, nil
-	} else {
-		base := make([]map[string]int32, tableShards)
-		t.w.walk(func(gi int, b *bucket) bool {
-			s := shardStr(b.keyStr)
-			if base[s] == nil {
-				base[s] = make(map[string]int32)
-			}
-			base[s][b.keyStr] = int32(gi)
-			return true
-		})
-		t.baseStr, t.ovlStr = base, nil
-	}
+	base := make(map[K]int32, t.w.size)
+	t.w.walk(func(gi int, b *bucket) bool {
+		base[*keyOf[K](b)] = int32(gi)
+		return true
+	})
+	x.base, x.ovl = base, nil
 	t.nbase = t.w.size
 }
 
@@ -211,9 +146,9 @@ func (x *Index) Insert(v vecmath.Vector) int {
 	for t := 0; t < cur.ell; t++ {
 		cur.hashInto(t, v, vals)
 		if cur.narrow {
-			x.pend64[t] = append(x.pend64[t], packWord(vals, bits))
+			x.pend.u64[t] = append(x.pend.u64[t], packWord(vals, bits))
 		} else {
-			x.pendStr[t] = append(x.pendStr[t], packKey(vals, bits))
+			x.pend.str[t] = append(x.pend.str[t], packKey(vals, bits))
 		}
 	}
 	x.npend.Add(1)
@@ -265,12 +200,7 @@ func (x *Index) CatchUp(vs []vecmath.Vector, version uint64) (*Snapshot, error) 
 	// A run can be far longer than any delta published after it: drop its
 	// pending backing arrays rather than hold them for the life of the index.
 	x.pendData = nil
-	for t := range x.pend64 {
-		x.pend64[t] = nil
-	}
-	for t := range x.pendStr {
-		x.pendStr[t] = nil
-	}
+	x.pend = newSignatures(s.narrow, s.ell, 0)
 	return s, nil
 }
 
@@ -282,7 +212,7 @@ func (x *Index) signBatch(vs []vecmath.Vector) *signatures {
 		return nil
 	}
 	cur := x.cur.Load()
-	return newEngine(cur.family, cur.k, cur.ell, cur.sign).sign(vs)
+	return newEngine(cur.family, cur.k, cur.ell, SignConfig{}).sign(vs)
 }
 
 // appendLocked appends a signed batch to the pending delta and returns the
@@ -294,13 +224,7 @@ func (x *Index) appendLocked(vs []vecmath.Vector, sigs *signatures) int {
 		return first
 	}
 	x.pendData = append(x.pendData, vs...)
-	for t := 0; t < cur.ell; t++ {
-		if sigs.narrow {
-			x.pend64[t] = append(x.pend64[t], sigs.u64[t]...)
-		} else {
-			x.pendStr[t] = append(x.pendStr[t], sigs.str[t]...)
-		}
-	}
+	x.pend.append(sigs)
 	x.npend.Add(int64(len(vs)))
 	if x.hook != nil {
 		x.hook.OnInsertBatch(first, vs)

@@ -176,13 +176,13 @@ func TestCatchUpReleasesRun(t *testing.T) {
 		if c := cap(x.pendData); c >= run {
 			t.Errorf("k=%d: pending vectors keep a backing array of %d after the catch-up", k, c)
 		}
-		for ti := range x.pend64 {
-			if c := cap(x.pend64[ti]); c >= run {
+		for ti := range x.pend.u64 {
+			if c := cap(x.pend.u64[ti]); c >= run {
 				t.Errorf("k=%d table %d: pending keys keep a backing array of %d", k, ti, c)
 			}
 		}
-		for ti := range x.pendStr {
-			if c := cap(x.pendStr[ti]); c >= run {
+		for ti := range x.pend.str {
+			if c := cap(x.pend.str[ti]); c >= run {
 				t.Errorf("k=%d table %d: pending keys keep a backing array of %d", k, ti, c)
 			}
 		}

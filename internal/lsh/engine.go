@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"math"
 	"runtime"
 	"sync"
 
@@ -19,7 +20,7 @@ type SignConfig struct {
 	// dimension-block panels instead of one resident cache: vocabulary rows
 	// are sorted by dimension and vectors keep a cursor, so accumulation
 	// order — and output — is identical to the fused pass. 0 means the
-	// 64 MiB default; negative is rejected by the public options layer.
+	// 64 MiB default; BuildSigned rejects a negative budget.
 	PanelBytes int
 }
 
@@ -68,7 +69,6 @@ type engine struct {
 	fam    Family
 	k, ell int
 	lk     int // ell * k, the fused row width
-	bits   int
 	narrow bool
 	cfg    SignConfig
 }
@@ -87,7 +87,6 @@ func newEngine(fam Family, k, ell int, cfg SignConfig) *engine {
 		k:      k,
 		ell:    ell,
 		lk:     ell * k,
-		bits:   fam.Bits(),
 		narrow: isNarrow(k, fam.Bits()),
 		cfg:    cfg,
 	}
@@ -95,28 +94,54 @@ func newEngine(fam Family, k, ell int, cfg SignConfig) *engine {
 
 // newSignatures allocates the per-table key slices for n vectors. These are
 // never pooled: tables retain them as their key columns.
-func (e *engine) newSignatures(n int) *signatures {
-	s := &signatures{narrow: e.narrow}
-	if e.narrow {
-		s.u64 = make([][]uint64, e.ell)
+func newSignatures(narrow bool, ell, n int) *signatures {
+	s := &signatures{narrow: narrow}
+	if narrow {
+		s.u64 = make([][]uint64, ell)
 		for t := range s.u64 {
 			s.u64[t] = make([]uint64, n)
 		}
 		return s
 	}
-	s.str = make([][]string, e.ell)
+	s.str = make([][]string, ell)
 	for t := range s.str {
 		s.str[t] = make([]string, n)
 	}
 	return s
 }
 
-// table builds table t from the signatures.
-func (s *signatures) table(t, k, fnBase, bits int) *Table {
-	if s.narrow {
-		return newTable64(s.u64[t], k, fnBase, bits)
+// tables builds one table per key column; table t hashes with functions
+// [t·k, (t+1)·k).
+func (s *signatures) tables(k, bits int) []*Table {
+	out := make([]*Table, max(len(s.u64), len(s.str)))
+	for t := range out {
+		if s.narrow {
+			out[t] = buildTable(s.u64[t], k, t*k, bits)
+		} else {
+			out[t] = buildTable(s.str[t], k, t*k, bits)
+		}
 	}
-	return newTableStr(s.str[t], k, fnBase, bits)
+	return out
+}
+
+// append extends every key column with o's.
+func (s *signatures) append(o *signatures) {
+	for t := range s.u64 {
+		s.u64[t] = append(s.u64[t], o.u64[t]...)
+	}
+	for t := range s.str {
+		s.str[t] = append(s.str[t], o.str[t]...)
+	}
+}
+
+// truncate empties every key column, keeping its backing array.
+func (s *signatures) truncate() {
+	for t := range s.u64 {
+		s.u64[t] = s.u64[t][:0]
+	}
+	for t := range s.str {
+		s.str[t] = s.str[t][:0]
+	}
 }
 
 // sign computes the bucket key of every vector in every table. The result is
@@ -124,7 +149,7 @@ func (s *signatures) table(t, k, fnBase, bits int) *Table {
 // index-addressed slots, and all cached values are pure functions of
 // (seed, fn, dim).
 func (e *engine) sign(data []vecmath.Vector) *signatures {
-	sigs := e.newSignatures(len(data))
+	sigs := newSignatures(e.narrow, e.ell, len(data))
 	if len(data) == 0 {
 		return sigs
 	}
@@ -134,7 +159,7 @@ func (e *engine) sign(data []vecmath.Vector) *signatures {
 	case MinHash:
 		e.signMinHash(f, data, sigs)
 	default:
-		e.signGeneric(data, sigs)
+		panic("lsh: no signing engine for family " + e.fam.Name()) // validateParams refuses it
 	}
 	return sigs
 }
@@ -142,17 +167,18 @@ func (e *engine) sign(data []vecmath.Vector) *signatures {
 // SignDigest signs data with the batch engine and folds every produced key
 // into a 64-bit FNV-style checksum. It exists for benchmarks and profiling:
 // it exercises exactly the signing path Build uses — vocabulary, fill,
-// accumulate, pack — without paying for table construction.
-func SignDigest(data []vecmath.Vector, family Family, k, ell int, cfg SignConfig) uint64 {
+// accumulate, pack — without paying for table construction. It refuses
+// the family, k and ℓ that Build refuses.
+func SignDigest(data []vecmath.Vector, family Family, k, ell int, cfg SignConfig) (uint64, error) {
+	if err := validateParams(family, k, ell); err != nil {
+		return 0, err
+	}
 	sigs := newEngine(family, k, ell, cfg).sign(data)
 	h := uint64(14695981039346656037)
-	if sigs.narrow {
-		for _, col := range sigs.u64 {
-			for _, w := range col {
-				h = (h ^ w) * 1099511628211
-			}
+	for _, col := range sigs.u64 {
+		for _, w := range col {
+			h = (h ^ w) * 1099511628211
 		}
-		return h
 	}
 	for _, col := range sigs.str {
 		for _, s := range col {
@@ -161,7 +187,7 @@ func SignDigest(data []vecmath.Vector, family Family, k, ell int, cfg SignConfig
 			}
 		}
 	}
-	return h
+	return h, nil
 }
 
 // vocab is the batch vocabulary: every distinct dimension gets a dense row
@@ -429,19 +455,6 @@ func (e *engine) packSim(sigs *signatures, i int, dots []float64, vals []uint64)
 	}
 }
 
-// simEmpty returns the signature of an empty vector: every dot is zero, so
-// every sign bit is 1.
-func (e *engine) simEmpty(narrow bool) (word uint64, key string) {
-	if narrow {
-		return ^uint64(0) >> (64 - uint(e.k)), ""
-	}
-	ones := make([]uint64, e.k)
-	for j := range ones {
-		ones[j] = 1
-	}
-	return 0, packKey(ones, 1)
-}
-
 // signSimHash signs the batch against a fused ℓ·k-wide hyperplane cache:
 // proj[row·ℓk + t·k + j] = a_{t·k+j}[dim(row)]. One vocabulary, one fill
 // pass, one accumulate pass for all tables — fused single-pass when the
@@ -460,18 +473,6 @@ func (e *engine) signSimHash(f SimHash, data []vecmath.Vector, sigs *signatures)
 	lk := e.lk
 	rows := len(voc.dims)
 	n := len(data)
-	emptyWord, emptyKey := e.simEmpty(sigs.narrow)
-	storeEmpty := func(i int) {
-		if sigs.narrow {
-			for t := 0; t < e.ell; t++ {
-				sigs.u64[t][i] = emptyWord
-			}
-			return
-		}
-		for t := 0; t < e.ell; t++ {
-			sigs.str[t][i] = emptyKey
-		}
-	}
 
 	panelRows := e.panelRows()
 	if panelRows >= rows {
@@ -491,8 +492,7 @@ func (e *engine) signSimHash(f SimHash, data []vecmath.Vector, sigs *signatures)
 				es := data[i].Entries()
 				ri := voc.rowIdx[i]
 				if len(ri) == 0 {
-					storeEmpty(i)
-					continue
+					clear(dots) // an empty vector projects to zero everywhere
 				}
 				c := 0
 				if len(ri) >= 4 {
@@ -596,37 +596,13 @@ func (e *engine) signSimHash(f SimHash, data []vecmath.Vector, sigs *signatures)
 			vals = make([]uint64, e.k)
 		}
 		for i := lo; i < hi; i++ {
+			d := dots[i*lk : i*lk+lk]
 			if len(voc.rowIdx[i]) == 0 {
-				storeEmpty(i)
-				continue
+				clear(d) // never folded: an empty vector projects to zero
 			}
-			e.packSim(sigs, i, dots[i*lk:i*lk+lk], vals)
+			e.packSim(sigs, i, d, vals)
 		}
 	})
-}
-
-// minhashEmpty precomputes the per-table sentinel key shared by empty
-// vectors: per function, hash64(seed, fn, ^0) truncated to Bits().
-func (e *engine) minhashEmpty(f MinHash, sigs *signatures) (words []uint64, keys []string) {
-	shift := uint(64 - f.bits)
-	vals := make([]uint64, e.k)
-	if sigs.narrow {
-		words = make([]uint64, e.ell)
-	} else {
-		keys = make([]string, e.ell)
-	}
-	for t := 0; t < e.ell; t++ {
-		fnBase := uint64(t * e.k)
-		for j := 0; j < e.k; j++ {
-			vals[j] = hash64(f.seed, fnBase+uint64(j), ^uint64(0)) >> shift
-		}
-		if sigs.narrow {
-			words[t] = packWord(vals, f.bits)
-		} else {
-			keys[t] = packKey(vals, f.bits)
-		}
-	}
-	return
 }
 
 // packMin packs one vector's fused minima into every table's key slot.
@@ -666,18 +642,9 @@ func (e *engine) signMinHash(f MinHash, data []vecmath.Vector, sigs *signatures)
 	for fn := range streams {
 		streams[fn] = xrand.NewHashStream(f.seed, uint64(fn))
 	}
-	emptyWords, emptyKeys := e.minhashEmpty(f, sigs)
-	storeEmpty := func(i int) {
-		if sigs.narrow {
-			for t := 0; t < e.ell; t++ {
-				sigs.u64[t][i] = emptyWords[t]
-			}
-			return
-		}
-		for t := 0; t < e.ell; t++ {
-			sigs.str[t][i] = emptyKeys[t]
-		}
-	}
+	// An empty vector's minima are MinHash.Hash's sentinel ranks.
+	empty := make([]uint64, lk)
+	xrand.FillHashRow(empty, streams, math.MaxUint64)
 
 	panelRows := e.panelRows()
 	if panelRows >= rows {
@@ -693,12 +660,11 @@ func (e *engine) signMinHash(f MinHash, data []vecmath.Vector, sigs *signatures)
 			vals := make([]uint64, e.k)
 			for i := lo; i < hi; i++ {
 				ri := voc.rowIdx[i]
-				if len(ri) == 0 {
-					storeEmpty(i)
-					continue
-				}
 				for j := range best {
 					best[j] = ^uint64(0)
+				}
+				if len(ri) == 0 {
+					copy(best, empty)
 				}
 				c := 0
 				for ; c+2 <= len(ri); c += 2 {
@@ -768,35 +734,11 @@ func (e *engine) signMinHash(f MinHash, data []vecmath.Vector, sigs *signatures)
 	parallelChunks(n, func(lo, hi int) {
 		vals := make([]uint64, e.k)
 		for i := lo; i < hi; i++ {
+			b := best[i*lk : i*lk+lk]
 			if len(voc.rowIdx[i]) == 0 {
-				storeEmpty(i)
-				continue
+				copy(b, empty)
 			}
-			e.packMin(f, sigs, i, best[i*lk:i*lk+lk], vals)
-		}
-	})
-}
-
-// signGeneric signs the batch through Family.Hash — no dimension cache, but
-// one worker spawn covers all ℓ tables, parallel across vectors and
-// allocation-free in narrow mode. All family implementations not known to
-// the engine take this path.
-func (e *engine) signGeneric(data []vecmath.Vector, sigs *signatures) {
-	k := e.k
-	parallelChunks(len(data), func(lo, hi int) {
-		vals := make([]uint64, k)
-		for i := lo; i < hi; i++ {
-			for t := 0; t < e.ell; t++ {
-				base := t * k
-				for j := 0; j < k; j++ {
-					vals[j] = e.fam.Hash(base+j, data[i])
-				}
-				if sigs.narrow {
-					sigs.u64[t][i] = packWord(vals, e.bits)
-				} else {
-					sigs.str[t][i] = packKey(vals, e.bits)
-				}
-			}
+			e.packMin(f, sigs, i, b, vals)
 		}
 	})
 }

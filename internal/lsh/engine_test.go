@@ -64,11 +64,7 @@ func engineBatches(data []vecmath.Vector) [][]vecmath.Vector {
 // (string-keyed) tables, the engine-built index must assign every vector the
 // same canonical bucket key as the naive Family.Hash + packKey path.
 func TestEngineMatchesNaive(t *testing.T) {
-	bitSampling, err := NewBitSampling(77, 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	families := []Family{NewSimHash(42), NewMinHash(42), bitSampling}
+	families := []Family{NewSimHash(42), NewMinHash(42)}
 	type cfg struct{ k, ell int }
 	cfgs := []cfg{{1, 1}, {2, 3}, {8, 2}, {20, 1}, {64, 1}, {70, 1}, {3, 2}}
 	for _, data := range engineBatches(engineCorpus(200, 11)) {

@@ -64,7 +64,7 @@ func runPublishWorkload(t *testing.T, seed uint64, k, ell int) {
 	n0 := 60 + rng.Intn(80)
 	pool := randData(1400, 90, 7, seed+1)
 	// Append a compaction burst: vectors in a private dimension range so most
-	// inserts mint fresh buckets and maybeCompact fires mid-workload.
+	// inserts mint fresh buckets and compaction fires mid-workload.
 	for i := 0; i < 500; i++ {
 		pool = append(pool, vecmath.FromDims([]uint32{
 			uint32(500000 + i),
@@ -109,9 +109,8 @@ func runPublishWorkload(t *testing.T, seed uint64, k, ell int) {
 
 // TestPublishEquivalenceProperty runs the randomized workload across narrow
 // (machine-word) and wide (string) key paths, several seeds, and both
-// single-core and full-parallel builds: the shard-parallel rebuild it
-// compares against must agree with Fenwick-published snapshots at any
-// GOMAXPROCS.
+// single-core and full-parallel builds: the rebuild it compares against
+// must agree with Fenwick-published snapshots at any GOMAXPROCS.
 func TestPublishEquivalenceProperty(t *testing.T) {
 	configs := []struct {
 		name   string

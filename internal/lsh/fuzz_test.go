@@ -32,18 +32,18 @@ func FuzzTableMergePublish(f *testing.F) {
 			keys[i] = uint64(b % 37) // collision-rich alphabet
 		}
 
-		// Narrow mode: base is the first chunk, then merge64 one chunk per
+		// Narrow mode: base is the first chunk, then merge one chunk per
 		// publish — the exact per-insert publication path when chunk == 1.
 		base := keys[:min(chunk, len(keys))]
-		inc := buildTable64(append([]uint64(nil), base...), 8, 0, 1, 1)
+		inc := buildTable(append([]uint64(nil), base...), 8, 0, 1)
 		for lo := len(base); lo < len(keys); lo += chunk {
 			hi := min(lo+chunk, len(keys))
-			inc = inc.merge64(keys[lo:hi])
+			inc = merge(inc, keys[lo:hi])
 		}
-		full := buildTable64(append([]uint64(nil), keys...), 8, 0, 1, 1)
+		full := buildTable(append([]uint64(nil), keys...), 8, 0, 1)
 		tablesEqual(t, full, inc)
 
-		// Wide mode: same stream as 70-bit packed string keys via mergeStr.
+		// Wide mode: same stream as 70-bit packed string keys.
 		skeys := make([]string, len(keys))
 		vals := make([]uint64, 70)
 		for i, w := range keys {
@@ -51,12 +51,12 @@ func FuzzTableMergePublish(f *testing.F) {
 			skeys[i] = packKey(vals, 1)
 		}
 		sbase := skeys[:min(chunk, len(skeys))]
-		sinc := buildTableStr(append([]string(nil), sbase...), 70, 0, 1, 1)
+		sinc := buildTable(append([]string(nil), sbase...), 70, 0, 1)
 		for lo := len(sbase); lo < len(skeys); lo += chunk {
 			hi := min(lo+chunk, len(skeys))
-			sinc = sinc.mergeStr(skeys[lo:hi])
+			sinc = merge(sinc, skeys[lo:hi])
 		}
-		sfull := buildTableStr(append([]string(nil), skeys...), 70, 0, 1, 1)
+		sfull := buildTable(append([]string(nil), skeys...), 70, 0, 1)
 		tablesEqual(t, sfull, sinc)
 	})
 }

@@ -31,10 +31,29 @@ type Index struct {
 	npend atomic.Int64 // vectors in the pending delta
 
 	pendData []vecmath.Vector
-	pend64   [][]uint64 // narrow mode: pending bucket keys, [table][i]
-	pendStr  [][]string // wide mode
-	scratch  []uint64   // per-writer hash scratch (guarded by mu)
-	hook     WriteHook  // durability observer (guarded by mu); nil when not persisted
+	pend     *signatures // pending bucket keys, [table][i]
+	scratch  []uint64    // per-writer hash scratch (guarded by mu)
+	hook     WriteHook   // durability observer (guarded by mu); nil when not persisted
+}
+
+// newIndex returns a writable index whose first published version, stamped
+// version, holds data and tables, with nothing pending.
+func newIndex(family Family, k, ell int, version uint64, data []vecmath.Vector, tables []*Table) *Index {
+	snap := &Snapshot{
+		version: version,
+		family:  family,
+		k:       k,
+		ell:     ell,
+		narrow:  isNarrow(k, family.Bits()),
+		// Clamp capacity so later delta merges can never append into spare
+		// capacity of the caller's slice.
+		data:   data[:len(data):len(data)],
+		tables: tables,
+		pool:   &sync.Pool{},
+	}
+	x := &Index{pend: newSignatures(snap.narrow, ell, 0)}
+	x.cur.Store(snap)
+	return x
 }
 
 // WriteHook observes the index's write path under the writer lock, in
@@ -75,18 +94,18 @@ func (x *Index) PublishAndThen(fn func(s *Snapshot)) *Snapshot {
 // Build hashes every vector of data into ℓ tables of k concatenated hash
 // functions each, through the batched signature engine (see engine.go):
 // keyed-stream rows are materialized once per distinct dimension and vector
-// signing is parallelized, as is bucket construction (see build.go). The
-// result is deterministic for a given family seed, independent of
-// GOMAXPROCS.
+// signing is parallelized; each table is then built by one serial walk
+// over its keys (see build.go). The result is deterministic for a given
+// family seed, independent of GOMAXPROCS.
 func Build(data []vecmath.Vector, family Family, k, ell int) (*Index, error) {
 	return BuildSigned(data, family, k, ell, SignConfig{})
 }
 
 // BuildSigned is Build with an explicit signing configuration: a panel
 // budget for the projection cache (see SignConfig). The zero config is
-// exactly Build, and every config signs identically. The config is recorded
-// on every published snapshot, so later InsertBatch signing keeps the same
-// budget.
+// exactly Build, and every config signs identically. The config applies to
+// this build only; later InsertBatch and CatchUp calls sign with the
+// default budget.
 func BuildSigned(data []vecmath.Vector, family Family, k, ell int, cfg SignConfig) (*Index, error) {
 	if err := validateParams(family, k, ell); err != nil {
 		return nil, err
@@ -98,32 +117,7 @@ func BuildSigned(data []vecmath.Vector, family Family, k, ell int, cfg SignConfi
 		return nil, fmt.Errorf("lsh: empty vector collection")
 	}
 	sigs := newEngine(family, k, ell, cfg).sign(data)
-	// Clamp capacity so later delta merges can never append into spare
-	// capacity of the caller's slice (which would overwrite caller-owned
-	// elements past the indexed prefix).
-	data = data[:len(data):len(data)]
-	snap := &Snapshot{
-		version: 1,
-		family:  family,
-		k:       k,
-		ell:     ell,
-		narrow:  isNarrow(k, family.Bits()),
-		sign:    cfg,
-		data:    data,
-		tables:  make([]*Table, ell),
-		pool:    &sync.Pool{},
-	}
-	for t := 0; t < ell; t++ {
-		snap.tables[t] = sigs.table(t, k, t*k, family.Bits())
-	}
-	x := &Index{}
-	if snap.narrow {
-		x.pend64 = make([][]uint64, ell)
-	} else {
-		x.pendStr = make([][]string, ell)
-	}
-	x.cur.Store(snap)
-	return x, nil
+	return newIndex(family, k, ell, 1, data, sigs.tables(k, family.Bits())), nil
 }
 
 // BuildSnapshot builds an index and returns its initial immutable view, for
@@ -188,20 +182,18 @@ func (x *Index) publishLocked(version uint64) *Snapshot {
 		k:       cur.k,
 		ell:     cur.ell,
 		narrow:  cur.narrow,
-		sign:    cur.sign,
 		data:    append(cur.data, x.pendData...),
 		tables:  make([]*Table, cur.ell),
 		pool:    cur.pool,
 	}
-	for t := range next.tables {
+	for t, tab := range cur.tables {
 		if cur.narrow {
-			next.tables[t] = cur.tables[t].merge64(x.pend64[t])
-			x.pend64[t] = x.pend64[t][:0]
+			next.tables[t] = merge(tab, x.pend.u64[t])
 		} else {
-			next.tables[t] = cur.tables[t].mergeStr(x.pendStr[t])
-			x.pendStr[t] = x.pendStr[t][:0]
+			next.tables[t] = merge(tab, x.pend.str[t])
 		}
 	}
+	x.pend.truncate()
 	x.pendData = x.pendData[:0]
 	x.cur.Store(next)
 	x.npend.Store(0)

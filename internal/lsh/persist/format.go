@@ -33,9 +33,10 @@ import (
 // weights). A table section carries the bucket sequence in deterministic
 // first-appearance order: per bucket, the packed key (8 bytes narrow,
 // 8·k wide) and the member ids delta-coded ascending. That sequence is the
-// whole table — per-vector keys, lookup maps and the Fenwick weight tree
-// are rebuilt on load, which lsh.RestoreIndex proves equivalent (including
-// SamplePair draw-for-draw; see restore.go and persist_test.go).
+// whole table — per-vector keys, the lookup map and the Fenwick weight tree
+// are rebuilt on load by the table builder, and lsh.RestoreIndex refuses
+// any sequence that build does not reproduce (see restore.go; persist_test.go
+// checks SamplePair draw-for-draw).
 
 const (
 	snapMagic     = "LSHSNAP1"

@@ -2,7 +2,7 @@ package lsh
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 
 	"lshjoin/internal/vecmath"
 )
@@ -10,13 +10,16 @@ import (
 // Index restoration for the durability layer (internal/lsh/persist). A
 // persisted snapshot carries only the bucket sequences — per table, each
 // bucket's canonical key and member ids in the deterministic first-appearance
-// order — because everything else the Table keeps is derivable: per-vector
-// keys from bucket membership, base lookup maps from the key sequence, and
-// the Fenwick weight tree from the bucket sizes. Rebuilding the tree with
-// newFenwick is draw-for-draw sampling-equivalent to the original: find's
-// descent depends only on bucket order and sizes, and both the incremental
-// grow path and the bottom-up build produce the same minimal power-of-two
-// span, so a reopened table consumes the RNG stream identically.
+// order — because everything else the Table keeps is derivable: the
+// per-vector keys from bucket membership, and the rest from those keys.
+// Restore fills the key column the sequence implies and builds the table
+// from it with the same builder Build uses (build.go), so the base map and
+// the Fenwick weight tree come out exactly as a build lays them out.
+// Rebuilding the tree bottom-up is draw-for-draw sampling-equivalent to the
+// original: find's descent depends only on bucket order and sizes, and both
+// the incremental grow path and the bottom-up build produce the same
+// minimal power-of-two span, so a reopened table consumes the RNG stream
+// identically.
 
 // RestoredBucket is one decoded bucket: the canonical string key (8 bytes in
 // narrow mode, 8·k bytes wide) and the ascending member ids.
@@ -40,121 +43,69 @@ func RestoreIndex(family Family, k, ell int, version uint64, data []vecmath.Vect
 	if len(tables) != ell {
 		return nil, fmt.Errorf("lsh: restore: %d table sequences for ℓ=%d", len(tables), ell)
 	}
-	narrow := isNarrow(k, family.Bits())
-	snap := &Snapshot{
-		version: version,
-		family:  family,
-		k:       k,
-		ell:     ell,
-		narrow:  narrow,
-		data:    data[:len(data):len(data)],
-		tables:  make([]*Table, ell),
-		pool:    &sync.Pool{},
-	}
-	for t := 0; t < ell; t++ {
-		tab, err := restoreTable(tables[t], k, t*k, family.Bits(), narrow, len(data))
+	tabs := make([]*Table, ell)
+	for t := range tabs {
+		var err error
+		if isNarrow(k, family.Bits()) {
+			tabs[t], err = restoreTable[uint64](tables[t], k, t*k, family.Bits(), len(data))
+		} else {
+			tabs[t], err = restoreTable[string](tables[t], k, t*k, family.Bits(), len(data))
+		}
 		if err != nil {
 			return nil, fmt.Errorf("lsh: restore table %d: %w", t, err)
 		}
-		snap.tables[t] = tab
 	}
-	x := &Index{}
-	if narrow {
-		x.pend64 = make([][]uint64, ell)
-	} else {
-		x.pendStr = make([][]string, ell)
-	}
-	x.cur.Store(snap)
-	return x, nil
+	return newIndex(family, k, ell, version, data, tabs), nil
 }
 
-// restoreTable rebuilds one table from its bucket sequence, checking that
-// the sequence is in canonical form (first-appearance order, i.e. ascending
-// first member id; distinct keys of the right width) and that the member
-// ids strictly ascend within each bucket and cover [0, n) exactly once.
-func restoreTable(seq []RestoredBucket, k, fnBase, bits int, narrow bool, n int) (*Table, error) {
-	t := &Table{k: k, fnBase: fnBase, n: n, bits: bits, narrow: narrow}
-	if narrow {
-		t.keys64 = make([]uint64, n)
-		t.base64 = make([]map[uint64]int32, tableShards)
-	} else {
-		t.keysStr = make([]string, n)
-		t.baseStr = make([]map[string]int32, tableShards)
+// restoreTable rebuilds one table from its bucket sequence. It checks that
+// every key has the mode's width and that the ids cover [0, n) exactly
+// once, fills the key column the sequence implies, builds the table from
+// it, and requires the build to reproduce the sequence bucket for bucket.
+// That holds exactly when the sequence is canonical: distinct keys, buckets
+// in first-appearance order (ascending first member id) and ids ascending
+// within each bucket.
+func restoreTable[K key](seq []RestoredBucket, k, fnBase, bits, n int) (*Table, error) {
+	width := 8
+	if !isWord[K]() {
+		width = 8 * k
 	}
-	order := make([]*bucket, 0, len(seq))
-	assigned := 0
+	keys := make([]K, n)
 	seen := make([]bool, n)
-	lastFirst := int32(-1)
+	assigned := 0
 	for gi, rb := range seq {
-		if len(rb.IDs) == 0 {
-			return nil, fmt.Errorf("bucket %d is empty", gi)
+		if len(rb.Key) != width {
+			return nil, fmt.Errorf("bucket %d key has %d bytes (want %d)", gi, len(rb.Key), width)
 		}
-		prev := int32(-1)
+		key := parseKey[K](rb.Key)
 		for _, id := range rb.IDs {
 			if id < 0 || int(id) >= n {
 				return nil, fmt.Errorf("bucket %d id %d outside [0, %d)", gi, id, n)
-			}
-			if id <= prev {
-				return nil, fmt.Errorf("bucket %d ids not ascending at %d", gi, id)
 			}
 			if seen[id] {
 				return nil, fmt.Errorf("id %d in more than one bucket", id)
 			}
 			seen[id] = true
-			prev = id
+			keys[id] = key
 		}
-		if rb.IDs[0] <= lastFirst {
-			return nil, fmt.Errorf("bucket %d out of first-appearance order", gi)
-		}
-		lastFirst = rb.IDs[0]
 		assigned += len(rb.IDs)
-		// Clamp capacity so a later merge's copy-on-write append can never
-		// spill into spare capacity of the decoder's slice.
-		b := &bucket{ids: rb.IDs[:len(rb.IDs):len(rb.IDs)]}
-		if narrow {
-			w, ok := parseKey64(rb.Key)
-			if !ok {
-				return nil, fmt.Errorf("bucket %d key has %d bytes (want 8)", gi, len(rb.Key))
-			}
-			b.key64 = w
-			s := shard64(w)
-			m := t.base64[s]
-			if m == nil {
-				m = make(map[uint64]int32)
-				t.base64[s] = m
-			}
-			if _, dup := m[w]; dup {
-				return nil, fmt.Errorf("duplicate bucket key at index %d", gi)
-			}
-			m[w] = int32(gi)
-		} else {
-			if len(rb.Key) != 8*k {
-				return nil, fmt.Errorf("bucket %d key has %d bytes (want %d)", gi, len(rb.Key), 8*k)
-			}
-			b.keyStr = rb.Key
-			s := shardStr(rb.Key)
-			m := t.baseStr[s]
-			if m == nil {
-				m = make(map[string]int32)
-				t.baseStr[s] = m
-			}
-			if _, dup := m[rb.Key]; dup {
-				return nil, fmt.Errorf("duplicate bucket key at index %d", gi)
-			}
-			m[rb.Key] = int32(gi)
-		}
-		for _, id := range rb.IDs {
-			if narrow {
-				t.keys64[id] = b.key64
-			} else {
-				t.keysStr[id] = b.keyStr
-			}
-		}
-		order = append(order, b)
 	}
 	if assigned != n {
 		return nil, fmt.Errorf("buckets cover %d of %d ids", assigned, n)
 	}
-	t.freezeOrder(order)
+	t := buildTable(keys, k, fnBase, bits)
+	if t.NumBuckets() != len(seq) {
+		return nil, fmt.Errorf("%d buckets where the canonical form has %d", len(seq), t.NumBuckets())
+	}
+	var err error
+	t.w.walk(func(gi int, b *bucket) bool {
+		if !slices.Equal(b.ids, seq[gi].IDs) {
+			err = fmt.Errorf("bucket %d is not in canonical form", gi)
+		}
+		return err == nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	return t, nil
 }

@@ -87,16 +87,10 @@ type ShardGroup struct {
 }
 
 // NewShardGroup routes every vector of data to its home shard and builds the
-// S per-shard indexes (each through the shard-parallel batched build). With
-// s == 1 the single shard indexes data in place, producing an Index
-// bit-identical to Build(data, family, k, ell).
+// S per-shard indexes (each through the batched build). With s == 1 the
+// single shard indexes data in place, producing an Index bit-identical to
+// Build(data, family, k, ell).
 func NewShardGroup(data []vecmath.Vector, family Family, k, ell, s int) (*ShardGroup, error) {
-	return NewShardGroupSigned(data, family, k, ell, s, SignConfig{})
-}
-
-// NewShardGroupSigned is NewShardGroup with an explicit signing
-// configuration applied to every shard (see SignConfig and BuildSigned).
-func NewShardGroupSigned(data []vecmath.Vector, family Family, k, ell, s int, cfg SignConfig) (*ShardGroup, error) {
 	if err := validateParams(family, k, ell); err != nil {
 		return nil, err
 	}
@@ -116,10 +110,10 @@ func NewShardGroupSigned(data []vecmath.Vector, family Family, k, ell, s int, cf
 	var err error
 	for sh := range g.shards {
 		if len(parts[sh]) == 0 {
-			g.shards[sh] = emptyIndexSigned(family, k, ell, cfg)
+			g.shards[sh] = emptyIndex(family, k, ell)
 			continue
 		}
-		if g.shards[sh], err = BuildSigned(parts[sh], family, k, ell, cfg); err != nil {
+		if g.shards[sh], err = Build(parts[sh], family, k, ell); err != nil {
 			return nil, err
 		}
 	}
@@ -152,36 +146,8 @@ func NewShardGroupFromIndexes(family Family, k, ell int, shards []*Index) (*Shar
 // emptyIndex constructs a zero-vector Index (version 1, empty tables) for
 // shards the initial routing left unpopulated.
 func emptyIndex(family Family, k, ell int) *Index {
-	return emptyIndexSigned(family, k, ell, SignConfig{})
-}
-
-func emptyIndexSigned(family Family, k, ell int, cfg SignConfig) *Index {
-	narrow := isNarrow(k, family.Bits())
-	snap := &Snapshot{
-		version: 1,
-		family:  family,
-		k:       k,
-		ell:     ell,
-		narrow:  narrow,
-		sign:    cfg,
-		tables:  make([]*Table, ell),
-		pool:    &sync.Pool{},
-	}
-	for t := 0; t < ell; t++ {
-		if narrow {
-			snap.tables[t] = newTable64(nil, k, t*k, family.Bits())
-		} else {
-			snap.tables[t] = newTableStr(nil, k, t*k, family.Bits())
-		}
-	}
-	x := &Index{}
-	if narrow {
-		x.pend64 = make([][]uint64, ell)
-	} else {
-		x.pendStr = make([][]string, ell)
-	}
-	x.cur.Store(snap)
-	return x
+	sigs := newSignatures(isNarrow(k, family.Bits()), ell, 0)
+	return newIndex(family, k, ell, 1, nil, sigs.tables(k, family.Bits()))
 }
 
 // S returns the shard count.

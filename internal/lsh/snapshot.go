@@ -15,7 +15,7 @@ import (
 // vectors the owning Index ingests afterwards.
 //
 // Snapshots are cheap version objects, not copies: consecutive versions
-// share bucket id slices, key arrays, base lookup maps and the subtrees of
+// share bucket id slices, key arrays, the base lookup map and the subtrees of
 // each table's persistent Fenwick weight index, with merges path-copying
 // only what they touch (see dynamic.go and fenwick.go).
 type Snapshot struct {
@@ -23,7 +23,6 @@ type Snapshot struct {
 	family  Family
 	k, ell  int
 	narrow  bool
-	sign    SignConfig // batch signing configuration; zero = default panel budget
 	data    []vecmath.Vector
 	tables  []*Table
 
@@ -155,9 +154,9 @@ func (s *Snapshot) Query(v vecmath.Vector) []int32 {
 		s.hashInto(t, v, vals)
 		var ids []int32
 		if s.narrow {
-			ids = s.tables[t].bucket64(packWord(vals, bits))
+			ids = bucketIDs(s.tables[t], packWord(vals, bits))
 		} else {
-			ids = s.tables[t].BucketIDs(packKey(vals, bits))
+			ids = bucketIDs(s.tables[t], packKey(vals, bits))
 		}
 		for _, id := range ids {
 			if vs.stamp[id] != vs.epoch {

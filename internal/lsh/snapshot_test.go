@@ -84,7 +84,7 @@ func TestMergeEquivalentToRebuild(t *testing.T) {
 }
 
 // TestMergeEquivalentToRebuildWide is the same contract for string keys
-// (k·bits > 64) whose merges go through mergeStr.
+// (k·bits > 64).
 func TestMergeEquivalentToRebuildWide(t *testing.T) {
 	data := randData(300, 50, 6, 321)
 	full, err := BuildSnapshot(data, NewSimHash(322), 70, 1)
@@ -104,7 +104,7 @@ func TestMergeEquivalentToRebuildWide(t *testing.T) {
 }
 
 // TestOverlayCompaction drives enough new-bucket merges through a small base
-// table to trip maybeCompact, then verifies lookups and a full rebuild
+// table to trip compaction, then verifies lookups and a full rebuild
 // comparison still hold.
 func TestOverlayCompaction(t *testing.T) {
 	base := randData(50, 40, 6, 331)
@@ -130,8 +130,8 @@ func TestOverlayCompaction(t *testing.T) {
 	idx.InsertBatch(extra[300:])
 	got := idx.Snapshot()
 	tab := got.Table(0)
-	if tab.ovl64 != nil && len(tab.ovl64)*4 > tab.nbase && len(tab.ovl64) > 256 {
-		t.Errorf("overlay never compacted: %d overlay vs %d base buckets", len(tab.ovl64), tab.nbase)
+	if ovl := tab.words.ovl; ovl != nil && len(ovl)*4 > tab.nbase && len(ovl) > 256 {
+		t.Errorf("overlay never compacted: %d overlay vs %d base buckets", len(ovl), tab.nbase)
 	}
 	full, err := BuildSnapshot(all, NewSimHash(332), 12, 1)
 	if err != nil {

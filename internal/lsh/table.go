@@ -17,35 +17,31 @@ import (
 // machine word (k·Bits() ≤ 64 — SimHash up to k=64, MinHash up to k=2) the
 // table keys buckets by uint64, so neither construction nor lookup allocates
 // key strings. Wider configurations fall back to the packed string keys of
-// packKey. Both modes expose the same canonical string form through KeyOf /
-// BucketIDs / ForEachBucket.
+// packKey. One generic code path (build.go) serves both modes, and both
+// expose the same canonical string form through KeyOf / BucketIDs /
+// ForEachBucket.
 //
 // A Table is immutable once published: construction (build.go) and delta
 // merging (dynamic.go) always produce a fresh value and never touch a table
 // that readers may already hold, so every method here is safe for
 // unsynchronized concurrent use. Bucket lookup goes through two layers: the
-// sharded base maps built by the shard-parallel constructor cover the first
-// nbase buckets, and a small overlay map covers buckets created by merges
-// since the base was last compacted. The buckets themselves, in their
-// deterministic first-appearance order, live in the leaves of the weight
-// tree, which consecutive versions share structurally — a merge path-copies
-// only the touched leaves' root paths instead of copying the bucket order
-// and rebuilding prefix sums.
+// base map built with the table covers the first nbase buckets, and a small
+// overlay map covers buckets created by merges since the base was last
+// compacted. The buckets themselves, in their deterministic
+// first-appearance order, live in the leaves of the weight tree, which
+// consecutive versions share structurally — a merge path-copies only the
+// touched leaves' root paths instead of copying the bucket order and
+// rebuilding prefix sums.
 type Table struct {
 	k      int
 	fnBase int // hash function indices used: [fnBase, fnBase+k)
 	n      int
 	bits   int  // bit width of each hash value
-	narrow bool // k·bits ≤ 64: uint64 key mode
+	narrow bool // uint64 key mode
 
-	keys64  []uint64 // narrow mode: per-vector bucket key, index = vector id
-	keysStr []string // wide mode
-
-	base64  []map[uint64]int32 // narrow: tableShards maps, frozen at build/compact
-	baseStr []map[string]int32 // wide mode equivalent
-	nbase   int                // buckets covered by the base maps: indices [0, nbase)
-	ovl64   map[uint64]int32   // buckets appended by merges since the base
-	ovlStr  map[string]int32
+	words keyIndex[uint64] // narrow mode
+	strs  keyIndex[string] // wide mode
+	nbase int              // buckets covered by the base map: indices [0, nbase)
 
 	w fenwick // bucket sequence + pair weights, shared across versions
 }
@@ -62,55 +58,6 @@ func pairs2(b int64) int64 { return b * (b - 1) / 2 }
 // isNarrow reports whether k hash values of the given width pack into one
 // machine word.
 func isNarrow(k, bits int) bool { return k*bits <= 64 }
-
-// tableShards is the fixed bucket-map shard count. It is independent of
-// GOMAXPROCS so that the table layout — and therefore the shard-parallel
-// build — is deterministic on any machine.
-const tableShards = 64
-
-// shard64 maps a machine-word key to its map shard (top 6 bits of a
-// Fibonacci mix, since packWord concentrates entropy in the low bits).
-func shard64(w uint64) int { return int((w * 0x9E3779B97F4A7C15) >> 58) }
-
-// shardStr is shard64 for wide string keys (FNV-1a).
-func shardStr(s string) int {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return int(h >> 58)
-}
-
-// bucketIndex64 resolves a machine-word key to its bucket index.
-func (t *Table) bucketIndex64(w uint64) (int32, bool) {
-	if m := t.base64[shard64(w)]; m != nil {
-		if bi, ok := m[w]; ok {
-			return bi, true
-		}
-	}
-	if t.ovl64 != nil {
-		if bi, ok := t.ovl64[w]; ok {
-			return bi, true
-		}
-	}
-	return 0, false
-}
-
-// bucketIndexStr resolves a string key to its bucket index.
-func (t *Table) bucketIndexStr(key string) (int32, bool) {
-	if m := t.baseStr[shardStr(key)]; m != nil {
-		if bi, ok := m[key]; ok {
-			return bi, true
-		}
-	}
-	if t.ovlStr != nil {
-		if bi, ok := t.ovlStr[key]; ok {
-			return bi, true
-		}
-	}
-	return 0, false
-}
 
 // keyString renders the canonical string form of b's key.
 func (b *bucket) keyString(narrow bool) string {
@@ -149,21 +96,18 @@ func (t *Table) NL() int64 { return t.M() - t.w.total() }
 // 8-byte big-endian packed word in narrow mode).
 func (t *Table) KeyOf(i int) string {
 	if t.narrow {
-		return key64String(t.keys64[i])
+		return key64String(t.words.keys[i])
 	}
-	return t.keysStr[i]
+	return t.strs.keys[i]
 }
-
-// key64 returns the machine-word key of vector i (narrow mode only).
-func (t *Table) key64(i int) uint64 { return t.keys64[i] }
 
 // SameBucket reports whether vectors i and j hash to the same bucket,
 // i.e. whether the pair (i, j) belongs to stratum H of this table.
 func (t *Table) SameBucket(i, j int) bool {
 	if t.narrow {
-		return t.keys64[i] == t.keys64[j]
+		return t.words.keys[i] == t.words.keys[j]
 	}
-	return t.keysStr[i] == t.keysStr[j]
+	return t.strs.keys[i] == t.strs.keys[j]
 }
 
 // SameBucketAcross reports whether vector i of this table and vector j of
@@ -172,7 +116,7 @@ func (t *Table) SameBucket(i, j int) bool {
 // mode compares machine words without allocating.
 func (t *Table) SameBucketAcross(i int, u *Table, j int) bool {
 	if t.narrow && u.narrow {
-		return t.keys64[i] == u.keys64[j]
+		return t.words.keys[i] == u.words.keys[j]
 	}
 	return t.KeyOf(i) == u.KeyOf(j)
 }
@@ -181,27 +125,21 @@ func (t *Table) SameBucketAcross(i int, u *Table, j int) bool {
 // canonical string form (nil if absent). Callers must not modify the
 // returned slice.
 func (t *Table) BucketIDs(key string) []int32 {
-	if t.narrow {
-		w, ok := parseKey64(key)
-		if !ok {
-			return nil
-		}
-		return t.bucket64(w)
+	if !t.narrow {
+		return bucketIDs(t, key)
 	}
-	bi, ok := t.bucketIndexStr(key)
-	if !ok {
-		return nil
+	if w, ok := parseKey64(key); ok {
+		return bucketIDs(t, w)
 	}
-	return t.w.at(int(bi)).ids
+	return nil
 }
 
-// bucket64 returns the member ids of the bucket keyed by w (narrow mode).
-func (t *Table) bucket64(w uint64) []int32 {
-	bi, ok := t.bucketIndex64(w)
-	if !ok {
-		return nil
+// bucketIDs returns the member ids of the bucket keyed by k (nil if absent).
+func bucketIDs[K key](t *Table, k K) []int32 {
+	if bi, ok := keysOf[K](t).lookup(k); ok {
+		return t.w.at(int(bi)).ids
 	}
-	return t.w.at(int(bi)).ids
+	return nil
 }
 
 // BucketSizes returns the multiset of bucket counts b_j in deterministic
@@ -342,7 +280,8 @@ func packKey(vals []uint64, bits int) string {
 	return string(buf)
 }
 
-// validateParams checks the (k, ℓ) configuration against a family.
+// validateParams checks the (k, ℓ) configuration against a family, which
+// must be one the signature engine signs.
 func validateParams(f Family, k, ell int) error {
 	if f == nil {
 		return fmt.Errorf("lsh: nil family")
@@ -352,6 +291,11 @@ func validateParams(f Family, k, ell int) error {
 	}
 	if ell < 1 {
 		return fmt.Errorf("lsh: ℓ must be ≥ 1, got %d", ell)
+	}
+	switch f.(type) {
+	case SimHash, MinHash:
+	default:
+		return fmt.Errorf("lsh: family %s has no signing engine", f.Name())
 	}
 	if f.Bits() < 1 || f.Bits() > 64 {
 		return fmt.Errorf("lsh: family %s has invalid bit width %d", f.Name(), f.Bits())

@@ -41,7 +41,19 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(v, nil, 4, 1); err == nil {
 		t.Error("nil family accepted")
 	}
+	if _, err := Build(v, fakeFamily{NewSimHash(1)}, 4, 1); err == nil {
+		t.Error("family without a signing engine accepted")
+	}
+	if _, err := SignDigest(v, fakeFamily{NewSimHash(1)}, 4, 1, SignConfig{}); err == nil {
+		t.Error("SignDigest signed a family without a signing engine")
+	}
 }
+
+// fakeFamily is a Family the signature engine does not know: SimHash under
+// another type.
+type fakeFamily struct{ SimHash }
+
+func (fakeFamily) Name() string { return "fake" }
 
 func TestDuplicatesShareBucket(t *testing.T) {
 	idx, _ := buildSmall(t, 16)

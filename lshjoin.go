@@ -80,12 +80,6 @@ type Options struct {
 	// writes a checkpoint. 0 keeps the store default (4 MiB); negative is
 	// rejected. In-memory collections ignore it.
 	CheckpointBytes int
-	// SignPanelBytes caps the resident projection cache of a batch build.
-	// When the fused dimension-major cache would exceed the budget, signing
-	// streams the vocabulary in dimension-block panels and produces output
-	// identical to the fused pass. 0 means the 64 MiB default; negative is
-	// rejected.
-	SignPanelBytes int
 }
 
 func (o *Options) fillDefaults() {

@@ -51,17 +51,8 @@ func (o Options) validated() (Options, error) {
 	default:
 		return o, fmt.Errorf("%w: unknown measure %d", ErrInvalidOptions, o.Measure)
 	}
-	if o.SignPanelBytes < 0 {
-		return o, fmt.Errorf("%w: SignPanelBytes = %d is negative", ErrInvalidOptions, o.SignPanelBytes)
-	}
 	if o.CheckpointBytes < 0 {
 		return o, fmt.Errorf("%w: CheckpointBytes = %d is negative", ErrInvalidOptions, o.CheckpointBytes)
 	}
 	return o, nil
-}
-
-// signConfig translates the public signing knobs into the internal batch
-// engine configuration.
-func (o Options) signConfig() lsh.SignConfig {
-	return lsh.SignConfig{PanelBytes: o.SignPanelBytes}
 }

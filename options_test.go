@@ -24,7 +24,6 @@ func TestInvalidOptionsSentinel(t *testing.T) {
 		{"negative_shards", Options{Shards: -3}},
 		{"unknown_measure", Options{Measure: Measure(42)}},
 		{"too_many_shards", Options{Shards: lsh.MaxShards + 1}},
-		{"negative_sign_panel", Options{SignPanelBytes: -1}},
 		{"negative_checkpoint_bytes", Options{CheckpointBytes: -1}},
 	}
 	for _, tc := range bad {
@@ -60,8 +59,5 @@ func TestValidOptionsStillAccepted(t *testing.T) {
 	}
 	if _, err := NewSharded(vecs, Options{Shards: 3, Measure: JaccardSimilarity}); err != nil {
 		t.Fatalf("NewSharded rejected valid options: %v", err)
-	}
-	if _, err := New(vecs, Options{SignPanelBytes: 1 << 12}); err != nil {
-		t.Fatalf("New rejected panel-streamed signing: %v", err)
 	}
 }

@@ -278,7 +278,7 @@ func (c *inProcess) build(vectors []Vector, opt Options, plain bool) error {
 		return fmt.Errorf("lshjoin: Shards > 1 requires a 64-bit platform (vector ids pack shard and local index into one int)")
 	}
 	family, _ := familyFor(opt)
-	group, err := lsh.NewShardGroupSigned(vectors, family, opt.K, opt.Tables, shards, opt.signConfig())
+	group, err := lsh.NewShardGroup(vectors, family, opt.K, opt.Tables, shards)
 	if err != nil {
 		return fmt.Errorf("lshjoin: %w", err)
 	}
