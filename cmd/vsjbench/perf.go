@@ -188,9 +188,11 @@ func runPerf(outPath string) (*perfReport, error) {
 	})
 	// Per-insert publication through the public policy (PublishEvery=1):
 	// every Insert cuts a fresh Fenwick-merged version. Run at the base
-	// corpus and at 4× the buckets — the ns/op pair demonstrates that
-	// publication cost is independent of total bucket count at fixed delta
-	// size (the O(d · log #buckets) merge contract).
+	// corpus and at 4× the buckets — every insert repeats one vector, so it
+	// lands in an existing bucket, and the ns/op pair shows that publishing
+	// such inserts costs about the same at 4× the buckets (the
+	// O(d · log #buckets) merge contract). publish_per_insert_fresh below
+	// covers inserts that open buckets.
 	perInsert := func(nvec int, seed uint64) func(b *testing.B) {
 		return func(b *testing.B) {
 			corpus := perfData(nvec, dims, nnz, seed)
@@ -207,6 +209,29 @@ func runPerf(outPath string) (*perfReport, error) {
 	}
 	add("publish_per_insert", perInsert(n, 17))
 	add("publish_per_insert_4x_buckets", perInsert(4*n, 19))
+	// Per-insert publication of fresh DBLP vectors, 91% of which open a
+	// bucket at k = 20: each op builds a 20k-vector Collection untimed and
+	// times a run of 13k inserts, each published on its own. The run grows
+	// the bucket count by more than half, so a publication cost that grows
+	// with the bucket count shows in ns/op.
+	dblp, err := lshjoin.GenerateDataset(lshjoin.DatasetDBLP, 50000, 47)
+	if err != nil {
+		return nil, err
+	}
+	add("publish_per_insert_fresh", func(b *testing.B) {
+		corpus, fresh := dblp[:20000], dblp[20000:33000]
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			coll, err := lshjoin.New(corpus, lshjoin.Options{K: k, Seed: 53, PublishEvery: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			for _, v := range fresh {
+				coll.Insert(v)
+			}
+		}
+	})
 	// Mixed serving workload: a background writer streams single-vector
 	// inserts into a live Collection while the measured loop constructs a
 	// snapshot-bound estimator and answers one estimate per op — the
@@ -524,10 +549,6 @@ func runPerf(outPath string) (*perfReport, error) {
 	// read brings both shard replicas up to date by the vectors each shard
 	// published since the previous op — coord_ingest's read path in the
 	// repository benchmark, without the estimate.
-	dblp, err := lshjoin.GenerateDataset(lshjoin.DatasetDBLP, 50000, 47)
-	if err != nil {
-		return nil, err
-	}
 	add("remote_catchup_ingest24", func(b *testing.B) {
 		const batch = 24
 		corpus, pool := dblp[:20000], dblp[20000:]
@@ -598,6 +619,7 @@ var gatedBenchmarks = []string{
 	"estimate_lshss_tau08",
 	"snapshot_publish_after_insert",
 	"publish_per_insert",
+	"publish_per_insert_fresh",
 	"insert_batch_1000_k20_publish",
 	"serve_mixed_estimate_insert",
 	"sharded_serve_s4_estimate_insert",

@@ -41,9 +41,11 @@
 //
 // Publication is incremental: each table's bucket sequence and sampling
 // weights live in a persistent (path-copying) Fenwick weight index that
-// consecutive versions share structurally, so publishing a d-vector delta
-// costs O(d · log #buckets) per table — independent of how many buckets
-// the tables hold — instead of an O(#buckets) prefix-sum rebuild. That
+// consecutive versions share structurally, and its bucket lookup is one
+// append-only hash table that every version shares, so publishing a
+// d-vector delta costs O(d · log #buckets) per table, amortized, plus one
+// O(#buckets) rehash of the lookup each time the bucket count doubles —
+// whether the delta lands in existing buckets or opens new ones. That
 // makes per-insert publication affordable: set Options.PublishEvery to 1
 // (or any delta size) and Insert cuts a fresh lock-free version under
 // that policy; leave it 0 to publish lazily on the next read.

@@ -1,34 +1,29 @@
 package lsh
 
 import (
-	"reflect"
+	"sync/atomic"
 	"unsafe"
 
 	"lshjoin/internal/vecmath"
 )
 
 // Per-version space accounting. Consecutive snapshots share almost all of
-// their structure (key backing arrays, bucket id slices, the base lookup map,
-// Fenwick subtrees), so the interesting quantity for snapshot GC is not a
-// version's total footprint but what it retains *beyond* the version it
-// grew from — the bytes that stay pinned as long as both versions are
-// reachable, and the bytes freed when the older one is dropped.
+// their structure (key and first-member backing arrays, bucket id slices,
+// the bucket lookup array, Fenwick subtrees), so the interesting quantity
+// for snapshot GC is not a version's total footprint but what it retains
+// *beyond* the version it grew from — the bytes that stay pinned as long as
+// both versions are reachable, and the bytes freed when the older one is
+// dropped.
 //
 // RetainedBytes computes that by structure walking, not heap sampling: it
-// prunes every Fenwick subtree, bucket, backing array and lookup map that
+// prunes every Fenwick subtree, bucket, backing array and lookup array that
 // is pointer-identical to (or backing-shared with) the base version and
 // charges only what this snapshot allocated on top. The numbers are
-// estimates in the same spirit as Table.SizeBytes — struct sizes via
-// unsafe.Sizeof plus a flat per-entry cost for maps, ignoring Go runtime
-// overheads — but they are deterministic, allocation-free to compute for
-// small deltas, and monotone in the real retention, which is what the
-// retention tests assert against (see retention_test.go).
-
-const (
-	// mapEntryBytes is the flat per-entry estimate for the bucket lookup
-	// maps (the base map and the overlay).
-	mapEntryBytes = 16
-)
+// estimates in the same spirit as Table.SizeBytes — struct and element
+// sizes via unsafe.Sizeof, ignoring Go runtime overheads — but they are
+// deterministic, allocation-free to compute for small deltas, and monotone
+// in the real retention, which is what the retention tests assert against
+// (see retention_test.go).
 
 var (
 	wnodeBytes     = int64(unsafe.Sizeof(wnode{}))
@@ -38,20 +33,13 @@ var (
 	entryBytes     = int64(unsafe.Sizeof(vecmath.Entry{}))
 	snapHdrBytes   = int64(unsafe.Sizeof(Snapshot{}))
 	tableHdrBytes  = int64(unsafe.Sizeof(Table{}))
+	slotBytes      = int64(unsafe.Sizeof(atomic.Uint64{}))
 )
 
 // sliceShared reports whether cur extends base in place: same backing
 // array, so only the elements past len(base) are new.
 func sliceShared[T any](cur, base []T) bool {
 	return len(base) > 0 && len(cur) >= len(base) && &cur[0] == &base[0]
-}
-
-// mapPtr returns the identity of a map value (0 for nil).
-func mapPtr[K comparable, V any](m map[K]V) uintptr {
-	if m == nil {
-		return 0
-	}
-	return reflect.ValueOf(m).Pointer()
 }
 
 // RetainedBytes estimates the bytes of index structure this snapshot keeps
@@ -161,29 +149,32 @@ func (t *Table) retainedBytes(bt *Table) int64 {
 	return total
 }
 
-// retainedKeys charges a table's key column, elem bytes per key, and its
-// lookup maps against the base-version counterpart bt (nil for none).
+// retainedKeys charges a table's key column, elem bytes per key, its
+// first-member column and its lookup array against the base-version
+// counterpart bt (nil for none).
 func retainedKeys[K key](t, bt *Table, elem int64) int64 {
 	x := keysOf[K](t)
-	var bx *keyIndex[K]
+	var bx keyIndex[K]
 	if bt != nil {
-		bx = keysOf[K](bt)
+		bx = *keysOf[K](bt)
 	}
-	var total int64
-	if bx != nil && sliceShared(x.keys, bx.keys) {
-		total += elem * int64(len(x.keys)-len(bx.keys))
-	} else {
-		total += elem * int64(cap(x.keys))
-	}
-	// The base map is shared wholesale until a compaction rebuilds it; the
-	// overlay map is copied whenever a merge appends buckets.
-	if bx == nil || mapPtr(x.base) != mapPtr(bx.base) {
-		total += mapEntryBytes * int64(t.nbase)
-	}
-	if bx == nil || mapPtr(x.ovl) != mapPtr(bx.ovl) {
-		total += mapEntryBytes * int64(len(x.ovl))
+	total := retainedColumn(x.keys, bx.keys, elem) + retainedColumn(x.first, bx.first, 4)
+	// The lookup array is shared wholesale until a regrow replaces it; the
+	// slots a version fills in a shared array were allocated with it.
+	if !sliceShared(x.slots, bx.slots) {
+		total += slotBytes * int64(len(x.slots))
 	}
 	return total
+}
+
+// retainedColumn charges an append-only column, elem bytes per element:
+// the elements past base when cur extends base's backing, else cur's whole
+// capacity.
+func retainedColumn[T any](cur, base []T, elem int64) int64 {
+	if sliceShared(cur, base) {
+		return elem * int64(len(cur)-len(base))
+	}
+	return elem * int64(cap(cur))
 }
 
 // retainedBucket charges one bucket header against the base version's

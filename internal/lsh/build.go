@@ -11,23 +11,6 @@ package lsh
 // the packed big-endian string of a wide-mode one.
 type key interface{ uint64 | string }
 
-// keyIndex is a table's width-dependent state: the per-vector key column
-// and the two-level bucket lookup.
-type keyIndex[K key] struct {
-	keys []K         // per-vector bucket key, index = vector id
-	base map[K]int32 // buckets [0, nbase), frozen at build and compaction
-	ovl  map[K]int32 // buckets appended by merges since
-}
-
-// lookup resolves a key to its bucket index.
-func (x *keyIndex[K]) lookup(k K) (int32, bool) {
-	if bi, ok := x.base[k]; ok {
-		return bi, true
-	}
-	bi, ok := x.ovl[k]
-	return bi, ok
-}
-
 // isWord reports whether K is the narrow-mode machine word.
 func isWord[K key]() bool {
 	var k K
@@ -70,20 +53,19 @@ func parseKey[K key](s string) K {
 // id, the order the samplers and checkpoints depend on — with bucket
 // headers carved from one backing slice whose capacity (#keys) bounds the
 // distinct-key count, so append never reallocates and the *bucket pointers
-// stay valid. Member ids are carved from one shared arena afterwards.
+// stay valid; the lookup (lookup.go) is sized for as many buckets, so the
+// walk never rehashes it. Member ids are carved from one shared arena
+// afterwards.
 func buildTable[K key](keys []K, k, fnBase, bits int) *Table {
 	t := &Table{k: k, fnBase: fnBase, n: len(keys), bits: bits, narrow: isWord[K]()}
 	x := keysOf[K](t)
-	x.keys = keys
-	x.base = make(map[K]int32, len(keys))
+	*x = newKeyIndex(keys)
 	bks := make([]bucket, 0, len(keys))
 	order := make([]*bucket, 0, len(keys))
 	vb := getI32(len(keys))
 	for i, key := range keys {
-		bi, ok := x.base[key]
-		if !ok {
-			bi = int32(len(order))
-			x.base[key] = bi
+		bi, opened := x.bucketOf(key, int32(i))
+		if opened {
 			bks = append(bks, bucket{})
 			b := &bks[len(bks)-1]
 			*keyOf[K](b) = key
@@ -93,7 +75,7 @@ func buildTable[K key](keys []K, k, fnBase, bits int) *Table {
 	}
 	fillBucketIDs(order, vb[:len(keys)])
 	putI32(vb)
-	t.freezeOrder(order)
+	t.w = newFenwick(order)
 	return t
 }
 
@@ -122,12 +104,4 @@ func fillBucketIDs(order []*bucket, vb []int32) {
 		b.ids = append(b.ids, int32(i))
 	}
 	putI32(counts)
-}
-
-// freezeOrder publishes a freshly built bucket order as the table's weight
-// tree (O(#buckets), once per build) and marks every bucket as covered by
-// the base map.
-func (t *Table) freezeOrder(order []*bucket) {
-	t.w = newFenwick(order)
-	t.nbase = len(order)
 }

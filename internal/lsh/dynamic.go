@@ -15,21 +15,28 @@ import (
 // keeps answering over its own version, and new readers pick up the merged
 // version lock-free.
 //
-// A merge is copy-on-write and costs O(d · log #buckets) for a d-key delta:
-// the new version shares the base lookup map, the key-array backing and —
-// through the persistent Fenwick weight index (fenwick.go) — every untouched
-// bucket and weight subtree with its predecessor. Only the buckets the delta
-// touches get fresh headers, and each lands in the weight tree with one
-// O(log #buckets) path copy; there is no bucket-order copy and no prefix-sum
-// rebuild, which is what makes per-insert publication affordable on large
-// tables. Appends to shared backing arrays are safe because exactly one
-// writer extends them (serialized by Index.mu) and readers of older versions
-// never index past their own length.
+// A merge is copy-on-write and costs O(d · log #buckets) for a d-key delta,
+// amortized: the new version shares the bucket lookup (lookup.go), the key
+// column and first-member backings and — through the persistent Fenwick
+// weight index (fenwick.go) — every untouched bucket and weight subtree with
+// its predecessor. Each delta key costs one lookup probe; only the buckets
+// the delta touches get fresh headers, and each lands in the weight tree
+// with one O(log #buckets) path copy. A key that opens a bucket adds one
+// slot to the shared lookup instead of copying any map, and the lookup's one
+// O(#buckets) rehash, each time the bucket count doubles, amortizes to O(1)
+// per bucket. There is no bucket-order copy and no prefix-sum rebuild,
+// which is what makes per-insert publication affordable on large tables.
+// Appends to shared backing arrays are safe because exactly one writer
+// extends them (serialized by Index.mu) and readers of older versions never
+// index past their own length.
 
 // merge returns a new table extending t with the bucket keys of the
-// vectors t.N(), t.N()+1, ..., leaving t untouched for its readers.
+// vectors t.N(), t.N()+1, ..., leaving t untouched for its readers. t must
+// be the latest version of its table: the new version appends to backings
+// and fills lookup slots that t shares, which only the latest version may
+// extend.
 func merge[K key](t *Table, keys []K) *Table {
-	nt := *t // shares the key column backing, both maps and the weight tree
+	nt := *t // shares the key column, the lookup and the weight tree
 	nt.n += len(keys)
 	x := keysOf[K](&nt)
 	x.keys = append(x.keys, keys...)
@@ -39,21 +46,10 @@ func merge[K key](t *Table, keys []K) *Table {
 	size0 := t.w.size
 	touched := make(map[int32]*bucket, len(keys))
 	var appended []*bucket
-	ovlCopied := false
 	for i, key := range keys {
 		id := int32(t.n + i)
-		bi, ok := x.lookup(key)
-		if !ok {
-			if !ovlCopied {
-				m := make(map[K]int32, len(x.ovl)+len(keys)-i)
-				for k2, v2 := range x.ovl {
-					m[k2] = v2
-				}
-				x.ovl = m
-				ovlCopied = true
-			}
-			bi = int32(size0 + len(appended))
-			x.ovl[key] = bi
+		bi, opened := x.bucketOf(key, id)
+		if opened {
 			b := &bucket{ids: []int32{id}}
 			*keyOf[K](b) = key
 			appended = append(appended, b)
@@ -72,7 +68,6 @@ func merge[K key](t *Table, keys []K) *Table {
 		b.ids = append(b.ids, id)
 	}
 	nt.applyDelta(touched, appended)
-	compact[K](&nt)
 	return &nt
 }
 
@@ -104,26 +99,6 @@ func (t *Table) applyDelta(touched map[int32]*bucket, appended []*bucket) {
 	for _, b := range appended {
 		t.w.push(b)
 	}
-}
-
-// compact folds the overlay into a fresh base map once it has outgrown its
-// role as a small delta, keeping lookups near one map probe. This is the
-// one publication path that walks every bucket (via the weight tree's
-// in-order traversal); it runs only when the overlay exceeds a quarter of
-// the base, so its O(#buckets) cost amortizes over the merges that grew the
-// overlay.
-func compact[K key](t *Table) {
-	x := keysOf[K](t)
-	if len(x.ovl) <= 256 || len(x.ovl)*4 <= t.nbase {
-		return
-	}
-	base := make(map[K]int32, t.w.size)
-	t.w.walk(func(gi int, b *bucket) bool {
-		base[*keyOf[K](b)] = int32(gi)
-		return true
-	})
-	x.base, x.ovl = base, nil
-	t.nbase = t.w.size
 }
 
 // Insert hashes v into every table's pending delta and logically appends it

@@ -56,15 +56,15 @@ func equivCheck(t *testing.T, idx *Index, data []vecmath.Vector, fam Family, k, 
 }
 
 // runPublishWorkload drives one randomized workload: random single inserts,
-// batches, publish points and a burst of near-distinct vectors that grows
-// the overlay past its compaction threshold, checking equivalence at every
-// publish boundary the schedule hits.
+// batches and publish points over a pool that ends in a burst of
+// near-distinct vectors, checking equivalence at every publish boundary the
+// schedule hits.
 func runPublishWorkload(t *testing.T, seed uint64, k, ell int) {
 	rng := xrand.New(seed)
 	n0 := 60 + rng.Intn(80)
 	pool := randData(1400, 90, 7, seed+1)
-	// Append a compaction burst: vectors in a private dimension range so most
-	// inserts mint fresh buckets and compaction fires mid-workload.
+	// Append a burst of vectors in a private dimension range, so most of
+	// them mint fresh buckets.
 	for i := 0; i < 500; i++ {
 		pool = append(pool, vecmath.FromDims([]uint32{
 			uint32(500000 + i),

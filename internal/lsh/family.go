@@ -27,8 +27,8 @@
 // k·Bits() ≤ 64 — SimHash up to k = 64, MinHash up to k = 2 — keys live in
 // a single uint64 and tables index buckets by machine word, allocation
 // free. Wider configurations fall back to packed big-endian strings; every
-// Jaccard table with k ≥ 3 is one. Build, merge, compaction, lookup and
-// restore are written once, generic over both key types (build.go). KeyOf,
+// Jaccard table with k ≥ 3 is one. Build, merge, lookup and restore are
+// written once, generic over both key types (build.go, lookup.go). KeyOf,
 // BucketIDs and ForEachBucket always speak the canonical string form;
 // SameBucket, Query and the bipartite matcher use word compares in narrow
 // mode.

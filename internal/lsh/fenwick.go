@@ -12,10 +12,11 @@ package lsh
 // table holds one immutable root; updating leaf i allocates the O(log
 // #buckets) nodes on the root-to-leaf path and shares every other subtree
 // with the predecessor version, exactly the way bucket id slices and key
-// backing arrays are already shared between consecutive snapshots. A merge of
-// d delta keys therefore costs O(d · log #buckets) node copies — independent
-// of the total bucket count — instead of the old O(#buckets) prefix-sum and
-// bucket-order copies.
+// backing arrays are already shared between consecutive snapshots. The tree's
+// share of a merge of d delta keys is therefore O(d · log #buckets) node
+// copies, instead of the old O(#buckets) prefix-sum and bucket-order copies;
+// the shared bucket lookup (lookup.go) adds one probe per key and an
+// O(#buckets) rehash only each time the bucket count doubles.
 //
 // All read operations (prefix sums, weighted search, positional lookup,
 // in-order traversal) run against one root pointer and never mutate nodes,

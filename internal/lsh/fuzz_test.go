@@ -9,39 +9,37 @@ import (
 
 // FuzzTableMergePublish feeds arbitrary delta key streams through the
 // incremental merge path — base build, then publish-sized delta chunks
-// merged one at a time — and requires the result to be indistinguishable
-// from a from-scratch rebuild over the concatenated keys, in both narrow
-// (uint64) and wide (string) key modes.
+// merged one at a time — in both narrow (uint64) and wide (string) key
+// modes, and keeps every version it publishes. After the last merge each
+// version must still be indistinguishable from a from-scratch rebuild over
+// its own key prefix and must find no bucket for a key first seen after it,
+// although later merges filled slots of the bucket lookup it shares.
 //
 // Byte layout: data[0] picks the chunking rhythm; every following byte is
-// one key, folded into a small alphabet so buckets genuinely collide and
-// overlay compaction triggers on longer inputs.
+// one key, folded into a small alphabet so buckets genuinely collide. The
+// lookup of a base chunk (at most 13 keys) has at most 32 slots and regrows
+// past 16 buckets, so inputs with more distinct keys cross a regrow.
 func FuzzTableMergePublish(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 3, 1, 2, 3, 9, 9, 1})
 	f.Add([]byte{1, 0, 0, 0, 0})
 	f.Add([]byte{7, 255, 254, 253, 1, 1, 1, 2, 2, 40, 41, 42, 43})
 	f.Add([]byte{0})
+	f.Add([]byte{12, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 3, 7})
+	f.Add([]byte{0, 5, 5, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		chunk := int(data[0]%13) + 1
 		raw := data[1:]
+		if len(raw) > 256 {
+			raw = raw[:256] // the per-version checks are quadratic in the input
+		}
 		keys := make([]uint64, len(raw))
 		for i, b := range raw {
 			keys[i] = uint64(b % 37) // collision-rich alphabet
 		}
-
-		// Narrow mode: base is the first chunk, then merge one chunk per
-		// publish — the exact per-insert publication path when chunk == 1.
-		base := keys[:min(chunk, len(keys))]
-		inc := buildTable(append([]uint64(nil), base...), 8, 0, 1)
-		for lo := len(base); lo < len(keys); lo += chunk {
-			hi := min(lo+chunk, len(keys))
-			inc = merge(inc, keys[lo:hi])
-		}
-		full := buildTable(append([]uint64(nil), keys...), 8, 0, 1)
-		tablesEqual(t, full, inc)
+		checkMergePublish(t, keys, chunk, 8)
 
 		// Wide mode: same stream as 70-bit packed string keys.
 		skeys := make([]string, len(keys))
@@ -50,15 +48,48 @@ func FuzzTableMergePublish(f *testing.F) {
 			vals[0], vals[69] = w%7, w/7
 			skeys[i] = packKey(vals, 1)
 		}
-		sbase := skeys[:min(chunk, len(skeys))]
-		sinc := buildTable(append([]string(nil), sbase...), 70, 0, 1)
-		for lo := len(sbase); lo < len(skeys); lo += chunk {
-			hi := min(lo+chunk, len(skeys))
-			sinc = merge(sinc, skeys[lo:hi])
-		}
-		sfull := buildTable(append([]string(nil), skeys...), 70, 0, 1)
-		tablesEqual(t, sfull, sinc)
+		checkMergePublish(t, skeys, chunk, 70)
 	})
+}
+
+// checkMergePublish builds a table over the first chunk of keys, merges the
+// rest one chunk per version — the exact per-insert publication path when
+// chunk == 1 — and checks every version against a rebuild over its own key
+// prefix, against every key first seen after it, and against the lookup's
+// load bound.
+func checkMergePublish[K key](t *testing.T, keys []K, chunk, k int) {
+	t.Helper()
+	base := keys[:min(chunk, len(keys))]
+	versions := []*Table{buildTable(append([]K(nil), base...), k, 0, 1)}
+	for lo := len(base); lo < len(keys); lo += chunk {
+		hi := min(lo+chunk, len(keys))
+		versions = append(versions, merge(versions[len(versions)-1], keys[lo:hi]))
+	}
+	for _, v := range versions {
+		n := v.N()
+		tablesEqual(t, buildTable(append([]K(nil), keys[:n]...), k, 0, 1), v)
+		held := make(map[K]bool, n)
+		for _, key := range keys[:n] {
+			held[key] = true
+		}
+		for _, key := range keys[n:] {
+			if !held[key] && v.BucketIDs(canonicalKey(key)) != nil {
+				t.Fatalf("version of %d keys finds a bucket for key %v, first seen after it", n, key)
+			}
+		}
+		if x := keysOf[K](v); 2*len(x.first) > len(x.slots) {
+			t.Fatalf("version of %d keys: %d buckets in %d lookup slots", n, len(x.first), len(x.slots))
+		}
+	}
+}
+
+// canonicalKey renders a key of either width in the canonical string form
+// Table.BucketIDs takes.
+func canonicalKey[K key](k K) string {
+	if w, ok := any(k).(uint64); ok {
+		return key64String(w)
+	}
+	return any(k).(string)
 }
 
 // FuzzShardedGroupNH feeds arbitrary corpora through the shard layer and

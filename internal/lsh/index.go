@@ -152,12 +152,13 @@ func (x *Index) MaybePublish(every int) {
 
 // Snapshot publishes any pending inserts as a new immutable version and
 // returns it. With no pending delta this is one atomic load. The merge cost
-// for a d-key delta is O(d · log #buckets) per table: only the buckets the
-// delta touches are copied, each landing in the persistent Fenwick weight
-// index with one root-path copy (see fenwick.go and dynamic.go) — there is
-// no prefix-sum rebuild and no bucket-order copy, so publication cost is
-// independent of the total bucket count and per-insert publication is
-// affordable on large tables.
+// for a d-key delta is O(d · log #buckets) per table, amortized: each key
+// costs one probe of the shared bucket lookup (lookup.go), only the buckets
+// the delta touches are copied, each landing in the persistent Fenwick
+// weight index with one root-path copy (see fenwick.go and dynamic.go), and
+// the lookup is rehashed, in O(#buckets), only each time the bucket count
+// doubles. There is no prefix-sum rebuild, no bucket-order copy and no map
+// copy, so per-insert publication is affordable on large tables.
 func (x *Index) Snapshot() *Snapshot {
 	if x.npend.Load() == 0 {
 		return x.cur.Load()

@@ -33,8 +33,8 @@ import (
 // weights). A table section carries the bucket sequence in deterministic
 // first-appearance order: per bucket, the packed key (8 bytes narrow,
 // 8·k wide) and the member ids delta-coded ascending. That sequence is the
-// whole table — per-vector keys, the lookup map and the Fenwick weight tree
-// are rebuilt on load by the table builder, and lsh.RestoreIndex refuses
+// whole table — per-vector keys, the bucket lookup and the Fenwick weight
+// tree are rebuilt on load by the table builder, and lsh.RestoreIndex refuses
 // any sequence that build does not reproduce (see restore.go; persist_test.go
 // checks SamplePair draw-for-draw).
 

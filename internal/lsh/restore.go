@@ -13,8 +13,8 @@ import (
 // order — because everything else the Table keeps is derivable: the
 // per-vector keys from bucket membership, and the rest from those keys.
 // Restore fills the key column the sequence implies and builds the table
-// from it with the same builder Build uses (build.go), so the base map and
-// the Fenwick weight tree come out exactly as a build lays them out.
+// from it with the same builder Build uses (build.go), so the bucket lookup
+// and the Fenwick weight tree come out exactly as a build lays them out.
 // Rebuilding the tree bottom-up is draw-for-draw sampling-equivalent to the
 // original: find's descent depends only on bucket order and sizes, and both
 // the incremental grow path and the bottom-up build produce the same

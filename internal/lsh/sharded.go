@@ -23,8 +23,8 @@ import (
 // Each shard is a full writer/reader Index: inserts on different shards
 // serialize only on their own shard's writer lock and never contend with one
 // another, and each shard publishes its own snapshot versions (per-write
-// publication stays O(delta · log #buckets) through the per-shard Fenwick
-// weight index). Readers capture a shard-snapshot vector — one atomic
+// publication stays O(delta · log #buckets), amortized, through the
+// per-shard Fenwick weight index and shared bucket lookup). Readers capture a shard-snapshot vector — one atomic
 // pointer load per shard — and serve estimates and searches over that
 // immutable GroupSnapshot.
 //

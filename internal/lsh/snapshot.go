@@ -8,14 +8,17 @@ import (
 
 // Snapshot is an immutable view of an LSH index at one published version:
 // ℓ frozen tables, the frozen prefix of the vector collection they cover,
-// and the family that hashed them. Nothing reachable from a Snapshot is ever
-// mutated after publication, so every method is safe for unsynchronized
-// concurrent use, and anything holding a Snapshot — estimators, searches,
-// samplers — answers over that version forever, regardless of how many
-// vectors the owning Index ingests afterwards.
+// and the family that hashed them. Nothing a Snapshot can see is mutated
+// after publication: later versions write only past its lengths — into
+// shared backing arrays beyond them, and, atomically, into free slots of
+// the bucket lookup for buckets past its bucket count, which it skips (see
+// lookup.go). So every method is safe for unsynchronized concurrent use,
+// and anything holding a Snapshot — estimators, searches, samplers —
+// answers over that version forever, regardless of how many vectors the
+// owning Index ingests afterwards.
 //
 // Snapshots are cheap version objects, not copies: consecutive versions
-// share bucket id slices, key arrays, the base lookup map and the subtrees of
+// share bucket id slices, key arrays, the bucket lookup and the subtrees of
 // each table's persistent Fenwick weight index, with merges path-copying
 // only what they touch (see dynamic.go and fenwick.go).
 type Snapshot struct {

@@ -103,17 +103,19 @@ func TestMergeEquivalentToRebuildWide(t *testing.T) {
 	tablesEqual(t, full.Table(0), idx.Snapshot().Table(0))
 }
 
-// TestOverlayCompaction drives enough new-bucket merges through a small base
-// table to trip compaction, then verifies lookups and a full rebuild
-// comparison still hold.
-func TestOverlayCompaction(t *testing.T) {
+// TestLookupRegrow drives enough new-bucket merges through a small base
+// table to make the shared bucket lookup regrow several times, then
+// verifies lookups and a full rebuild comparison still hold.
+func TestLookupRegrow(t *testing.T) {
 	base := randData(50, 40, 6, 331)
 	idx, err := Build(base, NewSimHash(332), 12, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	slots0 := len(idx.Current().Table(0).words.slots)
 	// Mostly-distinct vectors in a fresh dimension range: nearly every
-	// insert creates a new bucket, growing the overlay far beyond the base.
+	// insert creates a new bucket, growing the bucket count far beyond the
+	// base's.
 	extra := make([]vecmath.Vector, 0, 600)
 	rng := xrand.New(333)
 	for i := 0; i < 600; i++ {
@@ -130,8 +132,9 @@ func TestOverlayCompaction(t *testing.T) {
 	idx.InsertBatch(extra[300:])
 	got := idx.Snapshot()
 	tab := got.Table(0)
-	if ovl := tab.words.ovl; ovl != nil && len(ovl)*4 > tab.nbase && len(ovl) > 256 {
-		t.Errorf("overlay never compacted: %d overlay vs %d base buckets", len(ovl), tab.nbase)
+	if n := len(tab.words.slots); n < 8*slots0 || 2*tab.NumBuckets() > n {
+		t.Errorf("lookup has %d slots for %d buckets, from %d at build: want ≥ 3 regrows at load ≤ 1/2",
+			n, tab.NumBuckets(), slots0)
 	}
 	full, err := BuildSnapshot(all, NewSimHash(332), 12, 1)
 	if err != nil {

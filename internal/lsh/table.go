@@ -22,12 +22,13 @@ import (
 // ForEachBucket.
 //
 // A Table is immutable once published: construction (build.go) and delta
-// merging (dynamic.go) always produce a fresh value and never touch a table
-// that readers may already hold, so every method here is safe for
-// unsynchronized concurrent use. Bucket lookup goes through two layers: the
-// base map built with the table covers the first nbase buckets, and a small
-// overlay map covers buckets created by merges since the base was last
-// compacted. The buckets themselves, in their deterministic
+// merging (dynamic.go) always produce a fresh value and never change what a
+// table that readers may already hold can see, so every method here is safe
+// for unsynchronized concurrent use. Bucket lookup goes through one
+// open-addressing array that every version of the table shares (lookup.go):
+// merges only add entries, for buckets past the bucket count of every
+// version already published, and each version ignores the entries beyond
+// its own count. The buckets themselves, in their deterministic
 // first-appearance order, live in the leaves of the weight tree, which
 // consecutive versions share structurally — a merge path-copies only the
 // touched leaves' root paths instead of copying the bucket order and
@@ -41,7 +42,6 @@ type Table struct {
 
 	words keyIndex[uint64] // narrow mode
 	strs  keyIndex[string] // wide mode
-	nbase int              // buckets covered by the base map: indices [0, nbase)
 
 	w fenwick // bucket sequence + pair weights, shared across versions
 }
