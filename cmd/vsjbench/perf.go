@@ -72,7 +72,7 @@ func runPerf(outPath string) (*perfReport, error) {
 		k    = 20
 	)
 	data := perfData(n, dims, nnz, 1)
-	idx, err := lsh.Build(data, lsh.NewSimHash(3), 8, 4)
+	snap8, err := lsh.BuildSnapshot(data, lsh.NewSimHash(3), 8, 4)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +87,7 @@ func runPerf(outPath string) (*perfReport, error) {
 	// est's stratum holds a few pairs, far fewer than its m_H = n draws,
 	// so SampleH scores it flat; est8's (k = 8) holds about ten times m_H,
 	// so its draws descend the weight tree.
-	est8, err := core.NewMergedLSHSS(lsh.SingleSnapshot(idx.Snapshot()), nil)
+	est8, err := core.NewMergedLSHSS(lsh.SingleSnapshot(snap8), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +158,7 @@ func runPerf(outPath string) (*perfReport, error) {
 	})
 	add("query_k8_l4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = idx.Query(data[i%len(data)])
+			_ = snap8.Query(data[i%len(data)])
 		}
 	})
 	add("insert_batch_1000_k20_publish", func(b *testing.B) {

@@ -27,27 +27,27 @@ func badTotal(shardVersions []uint64) uint64 {
 	return total // want `returning summed version vector`
 }
 
-// versionsAdvance is the whitelisted componentwise helper: permitted even
+// VersionsDominate is the whitelisted componentwise helper: permitted even
 // though it compares version elements.
-func versionsAdvance(prev, next []uint64) bool {
-	if len(prev) != len(next) {
-		return false
+func VersionsDominate(next, prev []uint64) (ok, newer bool) {
+	if len(next) != len(prev) {
+		return false, false
 	}
-	advanced := false
-	for i := range prev {
+	for i := range next {
 		if next[i] < prev[i] {
-			return false
+			return false, false
 		}
 		if next[i] > prev[i] {
-			advanced = true
+			newer = true
 		}
 	}
-	return advanced
+	return true, newer
 }
 
 // goodUse compares through the helper: permitted.
 func goodUse(prev, next []uint64) bool {
-	return versionsAdvance(prev, next)
+	ok, newer := VersionsDominate(next, prev)
+	return ok && newer
 }
 
 // countRows sums a non-version slice: permitted, the invariant only covers

@@ -6,7 +6,7 @@
 // sums alias across concurrent captures ((4,2) and (3,3) both sum to 6), so
 // a cache built at (4,2) could masquerade as (3,3) and serve answers from a
 // different shard interleaving. The fix deleted sumVersions and compares
-// through versionsAdvance / versionPairAdvances. This analyzer keeps it
+// through lsh.VersionsDominate / versionPairAdvances. This analyzer keeps it
 // deleted: folding a version vector into a scalar with += and then
 // comparing (or returning) that scalar is flagged everywhere except inside
 // the whitelisted dominance helpers.
@@ -32,9 +32,8 @@ var Analyzer = &analysis.Analyzer{
 // vectors (they compare element by element; listed for the ISSUE record —
 // none of them actually folds).
 var whitelist = map[string]bool{
-	"versionsAdvance":     true,
+	"VersionsDominate":    true,
 	"versionPairAdvances": true,
-	"versionsGE":          true,
 }
 
 // versionName matches identifiers that carry version vectors.
@@ -121,7 +120,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 				for acc := range folds {
 					if mentionsObj(pass, n.X, acc) || mentionsObj(pass, n.Y, acc) {
 						pass.Reportf(n.OpPos,
-							"comparing summed version vector %s: sums alias across concurrent captures ((4,2) vs (3,3)) — compare componentwise via versionsAdvance/versionPairAdvances",
+							"comparing summed version vector %s: sums alias across concurrent captures ((4,2) vs (3,3)) — compare componentwise via lsh.VersionsDominate/versionPairAdvances",
 							acc.Name())
 						return true
 					}
@@ -138,7 +137,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 				acc := objOf(pass, id)
 				if _, folded := folds[acc]; folded {
 					pass.Reportf(n.Return,
-						"returning summed version vector %s: the sum discards componentwise ordering — expose the vector and compare via versionsAdvance",
+						"returning summed version vector %s: the sum discards componentwise ordering — expose the vector and compare via lsh.VersionsDominate",
 						acc.Name())
 					return true
 				}

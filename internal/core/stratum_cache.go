@@ -110,25 +110,7 @@ func (c *BipartiteStratumCache) build(left, right *lsh.GroupSnapshot, reuse map[
 // (lNext, rNext) is strictly newer than (lPrev, rPrev): no component of
 // either side regressed and at least one advanced.
 func versionPairAdvances(lNext, lPrev, rNext, rPrev []uint64) bool {
-	lok, lnew := versionsDominate(lNext, lPrev)
-	rok, rnew := versionsDominate(rNext, rPrev)
+	lok, lnew := lsh.VersionsDominate(lNext, lPrev)
+	rok, rnew := lsh.VersionsDominate(rNext, rPrev)
 	return lok && rok && (lnew || rnew)
-}
-
-// versionsDominate reports whether next is componentwise ≥ prev (ok) and
-// whether any component strictly advanced (newer). Mismatched lengths never
-// dominate.
-func versionsDominate(next, prev []uint64) (ok, newer bool) {
-	if len(next) != len(prev) {
-		return false, false
-	}
-	for i := range next {
-		if next[i] < prev[i] {
-			return false, false
-		}
-		if next[i] > prev[i] {
-			newer = true
-		}
-	}
-	return true, newer
 }

@@ -102,11 +102,11 @@ func (s *Suite) SpaceTable() ([]*Table, error) {
 		},
 	}
 	for _, k := range []int{10, 20, 30, 40, 50} {
-		idx, err := lsh.Build(env.Data.Vectors, env.Family, k, 1)
+		snap, err := lsh.BuildSnapshot(env.Data.Vectors, env.Family, k, 1)
 		if err != nil {
 			return nil, err
 		}
-		tab := idx.Table(0)
+		tab := snap.Table(0)
 		out.Rows = append(out.Rows, []string{
 			fint(int64(k)),
 			fmt.Sprintf("%.2f", float64(tab.SizeBytes())/(1<<20)),

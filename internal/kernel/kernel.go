@@ -7,16 +7,20 @@
 // remainder peeled, bounds checks hoisted by reslicing, and independent
 // accumulator chains so out-of-order cores overlap the latency.
 //
-// Every kernel documents — and the purego fallback preserves — its exact
-// floating-point evaluation order, because the signature engine's acceptance
-// bar is byte-identical signatures to the naive per-vector path: for a given
+// Every kernel adds into an accumulator the caller has already initialized;
+// the signing engine (internal/lsh) clears it first and then makes one fold
+// per hash family, foldSim or foldMin, call these kernels for every entry of
+// a vector. Every kernel documents — and the purego fallback preserves — its
+// exact floating-point evaluation order, because the engine's acceptance bar
+// is byte-identical signatures to the naive per-vector path: for a given
 // lane index j, contributions must fold in exactly the order given, with one
 // rounding per multiply and one per add. Unrolling across j is always safe
 // (lanes are independent); unrolling across *calls* is the caller's business
-// and must keep the per-lane order too, which is why the fused two-entry
-// variants (F64MulAdd2, U64Min2) exist: they halve the accumulator
-// load/store traffic while evaluating (dst[j] + w1·r1[j]) + w2·r2[j] in that
-// exact association.
+// and must keep the per-lane order too, which is why the fused multi-entry
+// variants (F64MulAdd2, F64MulAdd4, U64Min2) exist: they cut the accumulator
+// load/store traffic while evaluating (dst[j] + w1·r1[j]) + w2·r2[j] (and
+// so on) in that exact association. Folding into a zeroed accumulator in
+// entry order therefore reproduces the naive dot product bit for bit.
 //
 // Builds tagged `purego` swap every unrolled body for the plain range loop
 // (kernel_purego.go), keeping a reference implementation compiled and tested

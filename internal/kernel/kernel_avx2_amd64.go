@@ -51,6 +51,3 @@ func detectAVX2() bool {
 func f64MulAddAVX2(dst, row *float64, n int, w float64)
 func f64MulAdd2AVX2(dst, r1, r2 *float64, n int, w1, w2 float64)
 func f64MulAdd4AVX2(dst, r1, r2, r3, r4 *float64, n int, w1, w2, w3, w4 float64)
-func f64MulAddSetAVX2(dst, row *float64, n int, w float64)
-func f64MulAdd2SetAVX2(dst, r1, r2 *float64, n int, w1, w2 float64)
-func f64MulAdd4SetAVX2(dst, r1, r2, r3, r4 *float64, n int, w1, w2, w3, w4 float64)

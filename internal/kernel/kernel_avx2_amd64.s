@@ -259,206 +259,3 @@ ma4_tail_loop:
 ma4_done:
 	VZEROUPPER
 	RET
-
-// func f64MulAddSetAVX2(dst, row *float64, n int, w float64)
-TEXT ·f64MulAddSetAVX2(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ row+8(FP), SI
-	MOVQ n+16(FP), R9
-	VBROADCASTSD w+24(FP), Y12
-	XORQ AX, AX
-	MOVQ R9, BX
-	ANDQ $-8, BX
-	CMPQ AX, BX
-	JGE  ms1_4wide
-
-ms1_loop8:
-	VMOVUPD (SI)(AX*8), Y0
-	VMOVUPD 32(SI)(AX*8), Y5
-	VMULPD  Y0, Y12, Y0
-	VMULPD  Y5, Y12, Y5
-	VMOVUPD Y0, (DI)(AX*8)
-	VMOVUPD Y5, 32(DI)(AX*8)
-	ADDQ    $8, AX
-	CMPQ    AX, BX
-	JLT     ms1_loop8
-
-ms1_4wide:
-	MOVQ R9, BX
-	ANDQ $-4, BX
-	CMPQ AX, BX
-	JGE  ms1_tail
-	VMOVUPD (SI)(AX*8), Y0
-	VMULPD  Y0, Y12, Y0
-	VMOVUPD Y0, (DI)(AX*8)
-	ADDQ    $4, AX
-
-ms1_tail:
-	CMPQ AX, R9
-	JGE  ms1_done
-
-ms1_tail_loop:
-	VMOVSD (SI)(AX*8), X0
-	VMULSD X0, X12, X0
-	VMOVSD X0, (DI)(AX*8)
-	INCQ   AX
-	CMPQ   AX, R9
-	JLT    ms1_tail_loop
-
-ms1_done:
-	VZEROUPPER
-	RET
-
-// func f64MulAdd2SetAVX2(dst, r1, r2 *float64, n int, w1, w2 float64)
-TEXT ·f64MulAdd2SetAVX2(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ r1+8(FP), SI
-	MOVQ r2+16(FP), DX
-	MOVQ n+24(FP), R9
-	VBROADCASTSD w1+32(FP), Y12
-	VBROADCASTSD w2+40(FP), Y13
-	XORQ AX, AX
-	MOVQ R9, BX
-	ANDQ $-8, BX
-	CMPQ AX, BX
-	JGE  ms2_4wide
-
-ms2_loop8:
-	VMOVUPD (SI)(AX*8), Y0
-	VMOVUPD 32(SI)(AX*8), Y5
-	VMULPD  Y0, Y12, Y0
-	VMULPD  Y5, Y12, Y5
-	VMOVUPD (DX)(AX*8), Y2
-	VMOVUPD 32(DX)(AX*8), Y7
-	VMULPD  Y2, Y13, Y2
-	VMULPD  Y7, Y13, Y7
-	VADDPD  Y2, Y0, Y0
-	VADDPD  Y7, Y5, Y5
-	VMOVUPD Y0, (DI)(AX*8)
-	VMOVUPD Y5, 32(DI)(AX*8)
-	ADDQ    $8, AX
-	CMPQ    AX, BX
-	JLT     ms2_loop8
-
-ms2_4wide:
-	MOVQ R9, BX
-	ANDQ $-4, BX
-	CMPQ AX, BX
-	JGE  ms2_tail
-	VMOVUPD (SI)(AX*8), Y0
-	VMULPD  Y0, Y12, Y0
-	VMOVUPD (DX)(AX*8), Y2
-	VMULPD  Y2, Y13, Y2
-	VADDPD  Y2, Y0, Y0
-	VMOVUPD Y0, (DI)(AX*8)
-	ADDQ    $4, AX
-
-ms2_tail:
-	CMPQ AX, R9
-	JGE  ms2_done
-
-ms2_tail_loop:
-	VMOVSD (SI)(AX*8), X0
-	VMULSD X0, X12, X0
-	VMOVSD (DX)(AX*8), X2
-	VMULSD X2, X13, X2
-	VADDSD X2, X0, X0
-	VMOVSD X0, (DI)(AX*8)
-	INCQ   AX
-	CMPQ   AX, R9
-	JLT    ms2_tail_loop
-
-ms2_done:
-	VZEROUPPER
-	RET
-
-// func f64MulAdd4SetAVX2(dst, r1, r2, r3, r4 *float64, n int, w1, w2, w3, w4 float64)
-TEXT ·f64MulAdd4SetAVX2(SB), NOSPLIT, $0-80
-	MOVQ dst+0(FP), DI
-	MOVQ r1+8(FP), SI
-	MOVQ r2+16(FP), DX
-	MOVQ r3+24(FP), CX
-	MOVQ r4+32(FP), R8
-	MOVQ n+40(FP), R9
-	VBROADCASTSD w1+48(FP), Y12
-	VBROADCASTSD w2+56(FP), Y13
-	VBROADCASTSD w3+64(FP), Y14
-	VBROADCASTSD w4+72(FP), Y15
-	XORQ AX, AX
-	MOVQ R9, BX
-	ANDQ $-8, BX
-	CMPQ AX, BX
-	JGE  ms4_4wide
-
-ms4_loop8:
-	VMOVUPD (SI)(AX*8), Y0
-	VMOVUPD 32(SI)(AX*8), Y5
-	VMULPD  Y0, Y12, Y0
-	VMULPD  Y5, Y12, Y5
-	VMOVUPD (DX)(AX*8), Y2
-	VMOVUPD 32(DX)(AX*8), Y7
-	VMULPD  Y2, Y13, Y2
-	VMULPD  Y7, Y13, Y7
-	VADDPD  Y2, Y0, Y0
-	VADDPD  Y7, Y5, Y5
-	VMOVUPD (CX)(AX*8), Y3
-	VMOVUPD 32(CX)(AX*8), Y8
-	VMULPD  Y3, Y14, Y3
-	VMULPD  Y8, Y14, Y8
-	VADDPD  Y3, Y0, Y0
-	VADDPD  Y8, Y5, Y5
-	VMOVUPD (R8)(AX*8), Y4
-	VMOVUPD 32(R8)(AX*8), Y9
-	VMULPD  Y4, Y15, Y4
-	VMULPD  Y9, Y15, Y9
-	VADDPD  Y4, Y0, Y0
-	VADDPD  Y9, Y5, Y5
-	VMOVUPD Y0, (DI)(AX*8)
-	VMOVUPD Y5, 32(DI)(AX*8)
-	ADDQ    $8, AX
-	CMPQ    AX, BX
-	JLT     ms4_loop8
-
-ms4_4wide:
-	MOVQ R9, BX
-	ANDQ $-4, BX
-	CMPQ AX, BX
-	JGE  ms4_tail
-	VMOVUPD (SI)(AX*8), Y0
-	VMULPD  Y0, Y12, Y0
-	VMOVUPD (DX)(AX*8), Y2
-	VMULPD  Y2, Y13, Y2
-	VADDPD  Y2, Y0, Y0
-	VMOVUPD (CX)(AX*8), Y3
-	VMULPD  Y3, Y14, Y3
-	VADDPD  Y3, Y0, Y0
-	VMOVUPD (R8)(AX*8), Y4
-	VMULPD  Y4, Y15, Y4
-	VADDPD  Y4, Y0, Y0
-	VMOVUPD Y0, (DI)(AX*8)
-	ADDQ    $4, AX
-
-ms4_tail:
-	CMPQ AX, R9
-	JGE  ms4_done
-
-ms4_tail_loop:
-	VMOVSD (SI)(AX*8), X0
-	VMULSD X0, X12, X0
-	VMOVSD (DX)(AX*8), X2
-	VMULSD X2, X13, X2
-	VADDSD X2, X0, X0
-	VMOVSD (CX)(AX*8), X3
-	VMULSD X3, X14, X3
-	VADDSD X3, X0, X0
-	VMOVSD (R8)(AX*8), X4
-	VMULSD X4, X15, X4
-	VADDSD X4, X0, X0
-	VMOVSD X0, (DI)(AX*8)
-	INCQ   AX
-	CMPQ   AX, R9
-	JLT    ms4_tail_loop
-
-ms4_done:
-	VZEROUPPER
-	RET

@@ -17,15 +17,3 @@ func f64MulAdd2AVX2(dst, r1, r2 *float64, n int, w1, w2 float64) {
 func f64MulAdd4AVX2(dst, r1, r2, r3, r4 *float64, n int, w1, w2, w3, w4 float64) {
 	panic("kernel: no asm")
 }
-
-func f64MulAddSetAVX2(dst, row *float64, n int, w float64) {
-	panic("kernel: no asm")
-}
-
-func f64MulAdd2SetAVX2(dst, r1, r2 *float64, n int, w1, w2 float64) {
-	panic("kernel: no asm")
-}
-
-func f64MulAdd4SetAVX2(dst, r1, r2, r3, r4 *float64, n int, w1, w2, w3, w4 float64) {
-	panic("kernel: no asm")
-}

@@ -30,31 +30,6 @@ func F64MulAdd4(dst, r1, r2, r3, r4 []float64, w1, w2, w3, w4 float64) {
 	}
 }
 
-// F64MulAdd4Set writes the first four weighted rows:
-// dst[j] = ((w1*r1[j] + w2*r2[j]) + w3*r3[j]) + w4*r4[j].
-func F64MulAdd4Set(dst, r1, r2, r3, r4 []float64, w1, w2, w3, w4 float64) {
-	for j := range dst {
-		dst[j] = ((w1*r1[j] + w2*r2[j]) + w3*r3[j]) + w4*r4[j]
-	}
-}
-
-// F64MulAddSet writes the first weighted row: dst[j] = w * row[j]. See the
-// unrolled variant for the exact-zero sign caveat versus folding into a
-// zeroed accumulator.
-func F64MulAddSet(dst, row []float64, w float64) {
-	for j := range dst {
-		dst[j] = w * row[j]
-	}
-}
-
-// F64MulAdd2Set writes the first two weighted rows:
-// dst[j] = w1*r1[j] + w2*r2[j].
-func F64MulAdd2Set(dst, r1, r2 []float64, w1, w2 float64) {
-	for j := range dst {
-		dst[j] = w1*r1[j] + w2*r2[j]
-	}
-}
-
 // U64Min folds a row of ranks into the running minima.
 func U64Min(dst, row []uint64) {
 	for j := range dst {

@@ -119,57 +119,6 @@ func TestF64MulAddMatchesScalar(t *testing.T) {
 	}
 }
 
-// zeroEq reports bitwise equality, tolerating differing signs of an exact
-// zero — the one divergence the Set kernels permit versus folding into a
-// zeroed accumulator (0 + -0 is +0; a plain store keeps -0). Sign-based
-// consumers (the SimHash bit pack) treat ±0 identically.
-func zeroEq(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b) || (a == 0 && b == 0)
-}
-
-// TestF64MulAddSetMatchesScalar pins the Set kernels to their definitional
-// expression bit for bit, and to fold-into-zero modulo exact-zero signs.
-func TestF64MulAddSetMatchesScalar(t *testing.T) {
-	rng := newTestRNG(4)
-	for n := 0; n <= 67; n++ {
-		for rep := 0; rep < 8; rep++ {
-			dst := make([]float64, n)
-			row := make([]float64, n)
-			r2 := make([]float64, n)
-			fill64(rng, dst) // garbage: Set must fully overwrite
-			fill64(rng, row)
-			fill64(rng, r2)
-			w1, w2 := rng.Norm(), rng.Norm()
-
-			got := append([]float64(nil), dst...)
-			F64MulAddSet(got, row, w1)
-			zero := make([]float64, n)
-			refF64MulAdd(zero, row, w1)
-			for j := 0; j < n; j++ {
-				if math.Float64bits(got[j]) != math.Float64bits(w1*row[j]) {
-					t.Fatalf("%s: F64MulAddSet n=%d lane %d differs from definition", Impl, n, j)
-				}
-				if !zeroEq(got[j], zero[j]) {
-					t.Fatalf("%s: F64MulAddSet n=%d lane %d differs from zero-fold", Impl, n, j)
-				}
-			}
-
-			got2 := append([]float64(nil), dst...)
-			F64MulAdd2Set(got2, row, r2, w1, w2)
-			zero2 := make([]float64, n)
-			refF64MulAdd2(zero2, row, r2, w1, w2)
-			for j := 0; j < n; j++ {
-				if math.Float64bits(got2[j]) != math.Float64bits(w1*row[j]+w2*r2[j]) {
-					t.Fatalf("%s: F64MulAdd2Set n=%d lane %d differs from definition", Impl, n, j)
-				}
-				if !zeroEq(got2[j], zero2[j]) {
-					t.Fatalf("%s: F64MulAdd2Set n=%d lane %d differs from zero-fold", Impl, n, j)
-				}
-			}
-		}
-	}
-}
-
 // TestU64MinMatchesScalar sweeps the min-scan kernels.
 func TestU64MinMatchesScalar(t *testing.T) {
 	rng := newTestRNG(3)

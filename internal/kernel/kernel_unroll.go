@@ -91,91 +91,6 @@ func F64MulAdd4(dst, r1, r2, r3, r4 []float64, w1, w2, w3, w4 float64) {
 	}
 }
 
-// F64MulAdd4Set writes the first four weighted rows of an accumulation:
-// dst[j] = ((w1*r1[j] + w2*r2[j]) + w3*r3[j]) + w4*r4[j], overwriting dst —
-// identical to F64MulAdd2Set then F64MulAdd2, up to the sign of exact zeros
-// (see F64MulAddSet).
-func F64MulAdd4Set(dst, r1, r2, r3, r4 []float64, w1, w2, w3, w4 float64) {
-	n := len(dst)
-	r1 = r1[:n]
-	r2 = r2[:n]
-	r3 = r3[:n]
-	r4 = r4[:n]
-	if useAVX2 && n >= 4 {
-		f64MulAdd4SetAVX2(&dst[0], &r1[0], &r2[0], &r3[0], &r4[0], n, w1, w2, w3, w4)
-		return
-	}
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		d0 := ((w1*r1[j] + w2*r2[j]) + w3*r3[j]) + w4*r4[j]
-		d1 := ((w1*r1[j+1] + w2*r2[j+1]) + w3*r3[j+1]) + w4*r4[j+1]
-		d2 := ((w1*r1[j+2] + w2*r2[j+2]) + w3*r3[j+2]) + w4*r4[j+2]
-		d3 := ((w1*r1[j+3] + w2*r2[j+3]) + w3*r3[j+3]) + w4*r4[j+3]
-		dst[j] = d0
-		dst[j+1] = d1
-		dst[j+2] = d2
-		dst[j+3] = d3
-	}
-	for ; j < n; j++ {
-		dst[j] = ((w1*r1[j] + w2*r2[j]) + w3*r3[j]) + w4*r4[j]
-	}
-}
-
-// F64MulAddSet writes the first weighted row of an accumulation: for every
-// lane j, dst[j] = w * row[j], overwriting dst. Equal to F64MulAdd on a
-// zeroed accumulator except for the sign of an exact-zero product (0 + x
-// normalizes -0 to +0; the store keeps -0) — identical to sign-based
-// consumers. Using it on the first fold makes clearing dst unnecessary.
-func F64MulAddSet(dst, row []float64, w float64) {
-	n := len(dst)
-	row = row[:n]
-	if useAVX2 && n >= 4 {
-		f64MulAddSetAVX2(&dst[0], &row[0], n, w)
-		return
-	}
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		d0 := w * row[j]
-		d1 := w * row[j+1]
-		d2 := w * row[j+2]
-		d3 := w * row[j+3]
-		dst[j] = d0
-		dst[j+1] = d1
-		dst[j+2] = d2
-		dst[j+3] = d3
-	}
-	for ; j < n; j++ {
-		dst[j] = w * row[j]
-	}
-}
-
-// F64MulAdd2Set writes the first two weighted rows of an accumulation:
-// dst[j] = w1*r1[j] + w2*r2[j], overwriting dst. Equal to F64MulAdd2 on a
-// zeroed accumulator up to the sign of exact zeros (see F64MulAddSet).
-func F64MulAdd2Set(dst, r1, r2 []float64, w1, w2 float64) {
-	n := len(dst)
-	r1 = r1[:n]
-	r2 = r2[:n]
-	if useAVX2 && n >= 4 {
-		f64MulAdd2SetAVX2(&dst[0], &r1[0], &r2[0], n, w1, w2)
-		return
-	}
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		d0 := w1*r1[j] + w2*r2[j]
-		d1 := w1*r1[j+1] + w2*r2[j+1]
-		d2 := w1*r1[j+2] + w2*r2[j+2]
-		d3 := w1*r1[j+3] + w2*r2[j+3]
-		dst[j] = d0
-		dst[j+1] = d1
-		dst[j+2] = d2
-		dst[j+3] = d3
-	}
-	for ; j < n; j++ {
-		dst[j] = w1*r1[j] + w2*r2[j]
-	}
-}
-
 // U64Min folds a row of ranks into the running minima: for every lane j,
 // dst[j] = min(dst[j], row[j]). Order-independent, so unrolling is trivially
 // safe.

@@ -110,7 +110,7 @@ func BenchmarkSamplePair(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tab := idx.Table(0)
+	tab := idx.Snapshot().Table(0)
 	if tab.NH() == 0 {
 		b.Skip("degenerate bucket structure")
 	}
@@ -132,7 +132,7 @@ func BenchmarkQuery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = idx.Query(data[i%len(data)])
+		_ = idx.Snapshot().Query(data[i%len(data)])
 	}
 }
 

@@ -62,7 +62,7 @@ func buildTable[K key](keys []K, k, fnBase, bits int) *Table {
 	*x = newKeyIndex(keys)
 	bks := make([]bucket, 0, len(keys))
 	order := make([]*bucket, 0, len(keys))
-	vb := getI32(len(keys))
+	vb := i32Pool.get(len(keys))
 	for i, key := range keys {
 		bi, opened := x.bucketOf(key, int32(i))
 		if opened {
@@ -74,7 +74,7 @@ func buildTable[K key](keys []K, k, fnBase, bits int) *Table {
 		vb[i] = bi
 	}
 	fillBucketIDs(order, vb[:len(keys)])
-	putI32(vb)
+	i32Pool.put(vb)
 	t.w = newFenwick(order)
 	return t
 }
@@ -85,7 +85,7 @@ func buildTable[K key](keys []K, k, fnBase, bits int) *Table {
 // arena range, so a later dynamic append migrates that bucket onto its own
 // backing instead of clobbering a neighbour.
 func fillBucketIDs(order []*bucket, vb []int32) {
-	counts := getI32(len(order))
+	counts := i32Pool.get(len(order))
 	for i := range counts {
 		counts[i] = 0
 	}
@@ -103,5 +103,5 @@ func fillBucketIDs(order []*bucket, vb []int32) {
 		b := order[bi]
 		b.ids = append(b.ids, int32(i))
 	}
-	putI32(counts)
+	i32Pool.put(counts)
 }

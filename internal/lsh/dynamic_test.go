@@ -23,18 +23,18 @@ func TestInsertEquivalentToRebuild(t *testing.T) {
 	if first := half.InsertBatch(data[150:]); first != 150 {
 		t.Fatalf("first inserted id = %d, want 150", first)
 	}
-	if half.N() != full.N() {
-		t.Fatalf("sizes differ: %d vs %d", half.N(), full.N())
+	if half.Snapshot().N() != full.Snapshot().N() {
+		t.Fatalf("sizes differ: %d vs %d", half.Snapshot().N(), full.Snapshot().N())
 	}
 	for ti := 0; ti < full.L(); ti++ {
-		ft, ht := full.Table(ti), half.Table(ti)
+		ft, ht := full.Snapshot().Table(ti), half.Snapshot().Table(ti)
 		if ft.NH() != ht.NH() {
 			t.Errorf("table %d: NH %d vs %d", ti, ht.NH(), ft.NH())
 		}
 		if ft.NumBuckets() != ht.NumBuckets() {
 			t.Errorf("table %d: buckets %d vs %d", ti, ht.NumBuckets(), ft.NumBuckets())
 		}
-		for i := 0; i < full.N(); i++ {
+		for i := 0; i < full.Snapshot().N(); i++ {
 			if ft.KeyOf(i) != ht.KeyOf(i) {
 				t.Fatalf("table %d vector %d: key mismatch", ti, i)
 			}
@@ -45,7 +45,7 @@ func TestInsertEquivalentToRebuild(t *testing.T) {
 // TestInsertMaintainsNHIncrementally: N_H in each published version equals
 // the enumeration count over that version, and sampling works against the
 // merged tables. (Tables are immutable now, so each iteration re-fetches
-// the latest version via Index.Table.)
+// the latest version via Index.Snapshot.)
 func TestInsertMaintainsNH(t *testing.T) {
 	data := randData(80, 30, 6, 73)
 	idx, err := Build(data[:40], NewSimHash(74), 6, 1)
@@ -54,14 +54,14 @@ func TestInsertMaintainsNH(t *testing.T) {
 	}
 	for _, v := range data[40:] {
 		idx.Insert(v)
-		tab := idx.Table(0) // publishes the pending insert
+		tab := idx.Snapshot().Table(0) // publishes the pending insert
 		var count int64
 		tab.ForEachIntraPair(func(i, j int32) bool { count++; return true })
 		if count != tab.NH() {
 			t.Fatalf("after insert: NH=%d but enumeration finds %d", tab.NH(), count)
 		}
 	}
-	tab := idx.Table(0)
+	tab := idx.Snapshot().Table(0)
 	if tab.NH() == 0 {
 		t.Skip("degenerate bucket structure")
 	}
@@ -85,15 +85,15 @@ func TestInsertDuplicateAlwaysCoBucketed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := idx.Table(0).NH()
+	before := idx.Snapshot().Table(0).NH()
 	id := idx.Insert(data[7])
 	for ti := 0; ti < idx.L(); ti++ {
-		if !idx.Table(ti).SameBucket(7, id) {
+		if !idx.Snapshot().Table(ti).SameBucket(7, id) {
 			t.Errorf("table %d: duplicate not co-bucketed", ti)
 		}
 	}
-	if idx.Table(0).NH() <= before {
-		t.Errorf("NH did not grow: %d → %d", before, idx.Table(0).NH())
+	if idx.Snapshot().Table(0).NH() <= before {
+		t.Errorf("NH did not grow: %d → %d", before, idx.Snapshot().Table(0).NH())
 	}
 }
 
@@ -107,7 +107,7 @@ func TestInsertVisibleToQueries(t *testing.T) {
 	v := vecmath.FromDims([]uint32{1000, 1001, 1002})
 	id := idx.Insert(v)
 	found := false
-	for _, got := range idx.Query(v) {
+	for _, got := range idx.Snapshot().Query(v) {
 		if int(got) == id {
 			found = true
 		}
@@ -115,7 +115,7 @@ func TestInsertVisibleToQueries(t *testing.T) {
 	if !found {
 		t.Error("inserted vector not retrievable by Query")
 	}
-	hits := idx.Search(v, 0.999)
+	hits := idx.Snapshot().Search(v, 0.999)
 	found = false
 	for _, got := range hits {
 		if int(got) == id {

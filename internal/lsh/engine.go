@@ -48,8 +48,9 @@ func (e *engine) panelRows() int {
 // vocabulary pass assigns each distinct dimension a dense row, one fill pass
 // materializes the fused ℓ·k-wide keyed-stream row of every dimension
 // exactly once (xrand.FillGaussRow / FillHashRow, batched and inlined), and
-// one signing pass folds each vector's entries into all ℓ·k accumulators via
-// the unrolled kernels in internal/kernel. Corpora that reuse dimensions
+// one signing pass folds each vector's entries into all ℓ·k accumulators
+// through one fold per family (foldSim, foldMin) over the unrolled kernels in
+// internal/kernel. Corpora that reuse dimensions
 // (any Zipfian vocabulary) pay the expensive keyed streams only once per
 // dimension, and the fused layout touches the corpus once instead of ℓ
 // times.
@@ -57,8 +58,8 @@ func (e *engine) panelRows() int {
 // When the fused cache would exceed SignConfig.PanelBytes the engine streams
 // dimension-block panels instead: vocabulary rows are renumbered in
 // ascending dimension order (so each vector's row indices are monotone) and
-// a per-vector cursor consumes entries panel by panel, preserving the exact
-// per-lane accumulation order of the fused pass.
+// a per-vector cursor consumes entries panel by panel through the same fold,
+// preserving the exact per-lane accumulation order of the fused pass.
 //
 // The engine is an internal optimization, not a semantic change: it
 // produces keys byte-identical to the Family.Hash + packKey path for every
@@ -204,8 +205,8 @@ type vocab struct {
 // release returns the vocabulary's pooled buffers. The vocab (and every
 // rowIdx slice) must not be used afterwards.
 func (v *vocab) release() {
-	putU32(v.dims)
-	putI32(v.backing)
+	u32Pool.put(v.dims)
+	i32Pool.put(v.backing)
 }
 
 // vocabulary builds the batch vocabulary in one pass. When the dimension
@@ -225,8 +226,8 @@ func vocabulary(data []vecmath.Vector) *vocab {
 	// Distinct dimensions never exceed total entries, so a total-capacity
 	// dims buffer (pooled, like the rowIdx backing) can't reallocate.
 	voc := &vocab{rowIdx: make([][]int32, len(data))}
-	voc.dims = getU32(total)[:0]
-	voc.backing = getI32(total)
+	voc.dims = u32Pool.get(total)[:0]
+	voc.backing = i32Pool.get(total)
 	backing := voc.backing
 	if maxDim <= 8*uint64(total)+4096 && total < lutRowMax {
 		lut := getLUT(int(maxDim))
@@ -323,49 +324,31 @@ func (v *vocab) sortByDim() {
 	}
 }
 
-// Scratch pools recycle the large signing buffers — projection / rank caches
-// and fused accumulators — across builds and insert batches, which removes
-// the allocator's page-zeroing from the hot path. Contents are undefined on
-// get; every user either fully overwrites or explicitly resets. Signature
-// key slices are never pooled (tables retain them).
+// slicePool recycles the large signing buffers — projection / rank caches,
+// fused accumulators, vocabulary and table-build scratch — across builds and
+// insert batches, which removes the allocator's page-zeroing from the hot
+// path. Contents are undefined on get; every user either fully overwrites or
+// explicitly resets. Signature key slices are never pooled (tables retain
+// them).
+type slicePool[T any] struct{ p sync.Pool }
+
 var (
-	f64Pool sync.Pool
-	u64Pool sync.Pool
-	i32Pool sync.Pool
-	u32Pool sync.Pool
+	f64Pool slicePool[float64]
+	u64Pool slicePool[uint64]
+	i32Pool slicePool[int32]
+	u32Pool slicePool[uint32]
 )
 
-func getF64(n int) []float64 {
-	if p, _ := f64Pool.Get().(*[]float64); p != nil && cap(*p) >= n {
+// get returns a slice of length n, reusing a pooled one when it is large
+// enough.
+func (sp *slicePool[T]) get(n int) []T {
+	if p, _ := sp.p.Get().(*[]T); p != nil && cap(*p) >= n {
 		return (*p)[:n]
 	}
-	return make([]float64, n)
+	return make([]T, n)
 }
-func putF64(s []float64) { f64Pool.Put(&s) }
 
-func getU64(n int) []uint64 {
-	if p, _ := u64Pool.Get().(*[]uint64); p != nil && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]uint64, n)
-}
-func putU64(s []uint64) { u64Pool.Put(&s) }
-
-func getI32(n int) []int32 {
-	if p, _ := i32Pool.Get().(*[]int32); p != nil && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]int32, n)
-}
-func putI32(s []int32) { i32Pool.Put(&s) }
-
-func getU32(n int) []uint32 {
-	if p, _ := u32Pool.Get().(*[]uint32); p != nil && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]uint32, n)
-}
-func putU32(s []uint32) { u32Pool.Put(&s) }
+func (sp *slicePool[T]) put(s []T) { sp.p.Put(&s) }
 
 // dimLUT is the pooled dimension-to-row lookup table. Each slot holds the
 // owner's epoch in the high 8 bits and row+1 in the low 24, so reusing the
@@ -459,10 +442,9 @@ func (e *engine) packSim(sigs *signatures, i int, dots []float64, vals []uint64)
 // proj[row·ℓk + t·k + j] = a_{t·k+j}[dim(row)]. One vocabulary, one fill
 // pass, one accumulate pass for all tables — fused single-pass when the
 // whole projection cache fits the panel budget, panel-streamed otherwise.
-// Per-lane accumulation order equals the naive SimHash.Hash entry order in
-// both schedules (the paired kernels fold (dst + w1·r1) + w2·r2 in exactly
-// that association), so the dot products — and their signs — are
-// bit-identical to the per-vector path.
+// Both schedules fold through foldSim into zeroed accumulators, so every
+// accumulator equals SimHash.Hash's dot product bit for bit, and so does
+// its sign.
 func (e *engine) signSimHash(f SimHash, data []vecmath.Vector, sigs *signatures) {
 	voc := vocabulary(data)
 	defer voc.release()
@@ -477,8 +459,8 @@ func (e *engine) signSimHash(f SimHash, data []vecmath.Vector, sigs *signatures)
 	panelRows := e.panelRows()
 	if panelRows >= rows {
 		// Fused single pass: the whole cache is resident.
-		proj := getF64(rows * lk)
-		defer putF64(proj)
+		proj := f64Pool.get(rows * lk)
+		defer f64Pool.put(proj)
 		parallelChunks(rows, func(lo, hi int) {
 			xrand.FillGaussRows(proj[lo*lk:hi*lk], streams, voc.dims[lo:hi])
 		})
@@ -489,41 +471,8 @@ func (e *engine) signSimHash(f SimHash, data []vecmath.Vector, sigs *signatures)
 				vals = make([]uint64, e.k)
 			}
 			for i := lo; i < hi; i++ {
-				es := data[i].Entries()
-				ri := voc.rowIdx[i]
-				if len(ri) == 0 {
-					clear(dots) // an empty vector projects to zero everywhere
-				}
-				c := 0
-				if len(ri) >= 4 {
-					b1, b2 := int(ri[0])*lk, int(ri[1])*lk
-					b3, b4 := int(ri[2])*lk, int(ri[3])*lk
-					kernel.F64MulAdd4Set(dots, proj[b1:b1+lk], proj[b2:b2+lk], proj[b3:b3+lk], proj[b4:b4+lk],
-						float64(es[0].Weight), float64(es[1].Weight), float64(es[2].Weight), float64(es[3].Weight))
-					for c = 4; c+4 <= len(ri); c += 4 {
-						b1, b2 = int(ri[c])*lk, int(ri[c+1])*lk
-						b3, b4 = int(ri[c+2])*lk, int(ri[c+3])*lk
-						kernel.F64MulAdd4(dots, proj[b1:b1+lk], proj[b2:b2+lk], proj[b3:b3+lk], proj[b4:b4+lk],
-							float64(es[c].Weight), float64(es[c+1].Weight), float64(es[c+2].Weight), float64(es[c+3].Weight))
-					}
-				}
-				if c+2 <= len(ri) {
-					b1, b2 := int(ri[c])*lk, int(ri[c+1])*lk
-					if c == 0 {
-						kernel.F64MulAdd2Set(dots, proj[b1:b1+lk], proj[b2:b2+lk], float64(es[c].Weight), float64(es[c+1].Weight))
-					} else {
-						kernel.F64MulAdd2(dots, proj[b1:b1+lk], proj[b2:b2+lk], float64(es[c].Weight), float64(es[c+1].Weight))
-					}
-					c += 2
-				}
-				if c < len(ri) {
-					b := int(ri[c]) * lk
-					if c == 0 {
-						kernel.F64MulAddSet(dots, proj[b:b+lk], float64(es[c].Weight))
-					} else {
-						kernel.F64MulAdd(dots, proj[b:b+lk], float64(es[c].Weight))
-					}
-				}
+				clear(dots)
+				foldSim(dots, proj, data[i].Entries(), voc.rowIdx[i], 0, int32(rows), 0)
 				e.packSim(sigs, i, dots, vals)
 			}
 		})
@@ -532,19 +481,16 @@ func (e *engine) signSimHash(f SimHash, data []vecmath.Vector, sigs *signatures)
 
 	// Panel-streamed: renumber rows by dimension so per-vector row indices
 	// are monotone, then sweep dimension-block panels with persistent
-	// accumulators and per-vector cursors. A vector's first fold (cursor 0)
-	// uses the Set kernels, so the pooled accumulator block never needs
-	// clearing.
+	// accumulators and per-vector cursors.
 	voc.sortByDim()
-	dots := getF64(n * lk)
-	defer putF64(dots)
-	cur := getI32(n)
-	defer putI32(cur)
-	for j := range cur {
-		cur[j] = 0
-	}
-	proj := getF64(panelRows * lk)
-	defer putF64(proj)
+	dots := f64Pool.get(n * lk)
+	defer f64Pool.put(dots)
+	clear(dots)
+	cur := i32Pool.get(n)
+	defer i32Pool.put(cur)
+	clear(cur)
+	proj := f64Pool.get(panelRows * lk)
+	defer f64Pool.put(proj)
 	for r0 := 0; r0 < rows; r0 += panelRows {
 		r1 := r0 + panelRows
 		if r1 > rows {
@@ -556,37 +502,11 @@ func (e *engine) signSimHash(f SimHash, data []vecmath.Vector, sigs *signatures)
 		lim := int32(r1)
 		parallelChunks(n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				ri := voc.rowIdx[i]
-				c := int(cur[i])
-				if c >= len(ri) || ri[c] >= lim {
-					continue
+				// Most vectors have no entry in a given panel: skip them
+				// without a call.
+				if ri, c := voc.rowIdx[i], cur[i]; int(c) < len(ri) && ri[c] < lim {
+					cur[i] = int32(foldSim(dots[i*lk:i*lk+lk], proj, data[i].Entries(), ri, int(c), lim, r0))
 				}
-				es := data[i].Entries()
-				d := dots[i*lk : i*lk+lk]
-				if c == 0 {
-					if len(ri) >= 2 && ri[1] < lim {
-						b1 := (int(ri[0]) - r0) * lk
-						b2 := (int(ri[1]) - r0) * lk
-						kernel.F64MulAdd2Set(d, proj[b1:b1+lk], proj[b2:b2+lk], float64(es[0].Weight), float64(es[1].Weight))
-						c = 2
-					} else {
-						b := (int(ri[0]) - r0) * lk
-						kernel.F64MulAddSet(d, proj[b:b+lk], float64(es[0].Weight))
-						c = 1
-					}
-				}
-				for c+2 <= len(ri) && ri[c+1] < lim {
-					b1 := (int(ri[c]) - r0) * lk
-					b2 := (int(ri[c+1]) - r0) * lk
-					kernel.F64MulAdd2(d, proj[b1:b1+lk], proj[b2:b2+lk], float64(es[c].Weight), float64(es[c+1].Weight))
-					c += 2
-				}
-				if c < len(ri) && ri[c] < lim {
-					b := (int(ri[c]) - r0) * lk
-					kernel.F64MulAdd(d, proj[b:b+lk], float64(es[c].Weight))
-					c++
-				}
-				cur[i] = int32(c)
 			}
 		})
 	}
@@ -596,13 +516,38 @@ func (e *engine) signSimHash(f SimHash, data []vecmath.Vector, sigs *signatures)
 			vals = make([]uint64, e.k)
 		}
 		for i := lo; i < hi; i++ {
-			d := dots[i*lk : i*lk+lk]
-			if len(voc.rowIdx[i]) == 0 {
-				clear(d) // never folded: an empty vector projects to zero
-			}
-			e.packSim(sigs, i, d, vals)
+			e.packSim(sigs, i, dots[i*lk:i*lk+lk], vals)
 		}
 	})
+}
+
+// foldSim folds one vector's entries into its accumulator dots, starting at
+// entry c and stopping at the first entry whose row is not below lim, and
+// returns that entry's index. proj holds len(dots) = ℓ·k values per row,
+// from row r0 on. The fused pass passes every row (r0 = 0, lim = rows); the
+// panel pass relies on each vector's rows ascending. Entries fold in order,
+// four per kernel call while four remain below lim, then two, then one, and
+// every kernel adds each weighted row in turn with one rounding per multiply
+// and per add — so each lane accumulates exactly SimHash.Hash's sum.
+func foldSim(dots, proj []float64, es []vecmath.Entry, ri []int32, c int, lim int32, r0 int) int {
+	lk := len(dots)
+	for ; c+4 <= len(ri) && ri[c+3] < lim; c += 4 {
+		b1, b2 := (int(ri[c])-r0)*lk, (int(ri[c+1])-r0)*lk
+		b3, b4 := (int(ri[c+2])-r0)*lk, (int(ri[c+3])-r0)*lk
+		kernel.F64MulAdd4(dots, proj[b1:b1+lk], proj[b2:b2+lk], proj[b3:b3+lk], proj[b4:b4+lk],
+			float64(es[c].Weight), float64(es[c+1].Weight), float64(es[c+2].Weight), float64(es[c+3].Weight))
+	}
+	if c+2 <= len(ri) && ri[c+1] < lim {
+		b1, b2 := (int(ri[c])-r0)*lk, (int(ri[c+1])-r0)*lk
+		kernel.F64MulAdd2(dots, proj[b1:b1+lk], proj[b2:b2+lk], float64(es[c].Weight), float64(es[c+1].Weight))
+		c += 2
+	}
+	if c < len(ri) && ri[c] < lim {
+		b := (int(ri[c]) - r0) * lk
+		kernel.F64MulAdd(dots, proj[b:b+lk], float64(es[c].Weight))
+		c++
+	}
+	return c
 }
 
 // packMin packs one vector's fused minima into every table's key slot.
@@ -631,7 +576,8 @@ func (e *engine) packMin(f MinHash, sigs *signatures, i int, best []uint64, vals
 // rank[row·ℓk + t·k + j] = hash64(seed, t·k+j, dim(row)); each vector takes
 // elementwise minima over its entries (order-independent, so trivially
 // identical to the naive path) and truncates to Bits(). Falls back to the
-// panel-streamed schedule when the cache exceeds the panel budget.
+// panel-streamed schedule when the cache exceeds the panel budget; both
+// schedules fold through foldMin.
 func (e *engine) signMinHash(f MinHash, data []vecmath.Vector, sigs *signatures) {
 	voc := vocabulary(data)
 	defer voc.release()
@@ -648,8 +594,8 @@ func (e *engine) signMinHash(f MinHash, data []vecmath.Vector, sigs *signatures)
 
 	panelRows := e.panelRows()
 	if panelRows >= rows {
-		rank := getU64(rows * lk)
-		defer putU64(rank)
+		rank := u64Pool.get(rows * lk)
+		defer u64Pool.put(rank)
 		parallelChunks(rows, func(lo, hi int) {
 			for r := lo; r < hi; r++ {
 				xrand.FillHashRow(rank[r*lk:r*lk+lk], streams, uint64(voc.dims[r]))
@@ -666,16 +612,7 @@ func (e *engine) signMinHash(f MinHash, data []vecmath.Vector, sigs *signatures)
 				if len(ri) == 0 {
 					copy(best, empty)
 				}
-				c := 0
-				for ; c+2 <= len(ri); c += 2 {
-					b1 := int(ri[c]) * lk
-					b2 := int(ri[c+1]) * lk
-					kernel.U64Min2(best, rank[b1:b1+lk], rank[b2:b2+lk])
-				}
-				if c < len(ri) {
-					b := int(ri[c]) * lk
-					kernel.U64Min(best, rank[b:b+lk])
-				}
+				foldMin(best, rank, ri, 0, int32(rows), 0)
 				e.packMin(f, sigs, i, best, vals)
 			}
 		})
@@ -685,18 +622,16 @@ func (e *engine) signMinHash(f MinHash, data []vecmath.Vector, sigs *signatures)
 	// Panel-streamed minima: same cursor sweep as SimHash, min instead of
 	// multiply-add (order-irrelevant, but the sweep keeps it anyway).
 	voc.sortByDim()
-	best := getU64(n * lk)
-	defer putU64(best)
+	best := u64Pool.get(n * lk)
+	defer u64Pool.put(best)
 	for j := range best {
 		best[j] = ^uint64(0)
 	}
-	cur := getI32(n)
-	defer putI32(cur)
-	for j := range cur {
-		cur[j] = 0
-	}
-	rank := getU64(panelRows * lk)
-	defer putU64(rank)
+	cur := i32Pool.get(n)
+	defer i32Pool.put(cur)
+	clear(cur)
+	rank := u64Pool.get(panelRows * lk)
+	defer u64Pool.put(rank)
 	for r0 := 0; r0 < rows; r0 += panelRows {
 		r1 := r0 + panelRows
 		if r1 > rows {
@@ -710,24 +645,9 @@ func (e *engine) signMinHash(f MinHash, data []vecmath.Vector, sigs *signatures)
 		lim := int32(r1)
 		parallelChunks(n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				ri := voc.rowIdx[i]
-				c := int(cur[i])
-				if c >= len(ri) || ri[c] >= lim {
-					continue
+				if ri, c := voc.rowIdx[i], cur[i]; int(c) < len(ri) && ri[c] < lim {
+					cur[i] = int32(foldMin(best[i*lk:i*lk+lk], rank, ri, int(c), lim, r0))
 				}
-				b := best[i*lk : i*lk+lk]
-				for c+2 <= len(ri) && ri[c+1] < lim {
-					b1 := (int(ri[c]) - r0) * lk
-					b2 := (int(ri[c+1]) - r0) * lk
-					kernel.U64Min2(b, rank[b1:b1+lk], rank[b2:b2+lk])
-					c += 2
-				}
-				if c < len(ri) && ri[c] < lim {
-					bb := (int(ri[c]) - r0) * lk
-					kernel.U64Min(b, rank[bb:bb+lk])
-					c++
-				}
-				cur[i] = int32(c)
 			}
 		})
 	}
@@ -741,4 +661,21 @@ func (e *engine) signMinHash(f MinHash, data []vecmath.Vector, sigs *signatures)
 			e.packMin(f, sigs, i, b, vals)
 		}
 	})
+}
+
+// foldMin folds the rank rows of one vector's entries into its running
+// minima best, two per kernel call, then one; the cursor, row limit and
+// panel layout are foldSim's.
+func foldMin(best, rank []uint64, ri []int32, c int, lim int32, r0 int) int {
+	lk := len(best)
+	for ; c+2 <= len(ri) && ri[c+1] < lim; c += 2 {
+		b1, b2 := (int(ri[c])-r0)*lk, (int(ri[c+1])-r0)*lk
+		kernel.U64Min2(best, rank[b1:b1+lk], rank[b2:b2+lk])
+	}
+	if c < len(ri) && ri[c] < lim {
+		b := (int(ri[c]) - r0) * lk
+		kernel.U64Min(best, rank[b:b+lk])
+		c++
+	}
+	return c
 }

@@ -79,7 +79,7 @@ func TestEngineMatchesNaive(t *testing.T) {
 				}
 				want := naiveKeys(data, f, c.k, c.ell)
 				for tb := 0; tb < c.ell; tb++ {
-					tab := idx.Table(tb)
+					tab := idx.Snapshot().Table(tb)
 					if wantNarrow := c.k*f.Bits() <= 64; tab.Narrow() != wantNarrow {
 						t.Fatalf("%s k=%d: Narrow()=%v, want %v", f.Name(), c.k, tab.Narrow(), wantNarrow)
 					}
@@ -111,7 +111,7 @@ func TestBuildDeterministic(t *testing.T) {
 	check := func(idx *Index, label string) {
 		t.Helper()
 		for tb := 0; tb < ref.L(); tb++ {
-			rt, it := ref.Table(tb), idx.Table(tb)
+			rt, it := ref.Snapshot().Table(tb), idx.Snapshot().Table(tb)
 			if rt.NH() != it.NH() || rt.NumBuckets() != it.NumBuckets() {
 				t.Fatalf("%s: table %d shape differs (NH %d vs %d, buckets %d vs %d)",
 					label, tb, rt.NH(), it.NH(), rt.NumBuckets(), it.NumBuckets())
@@ -147,9 +147,9 @@ func TestQueryAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx.Query(data[0]) // warm the pool
+	idx.Snapshot().Query(data[0]) // warm the pool
 	allocs := testing.AllocsPerRun(100, func() {
-		idx.Query(data[7])
+		idx.Snapshot().Query(data[7])
 	})
 	// The returned candidate slice may grow a few times; a per-call map or
 	// visited array would add tens of allocations.
@@ -171,14 +171,14 @@ func TestQueryMatchesSearchSemantics(t *testing.T) {
 		var want []int32
 		seen := make(map[int32]bool)
 		for tb := 0; tb < idx.L(); tb++ {
-			for _, id := range idx.Table(tb).BucketIDs(idx.KeyFor(tb, v)) {
+			for _, id := range idx.Snapshot().Table(tb).BucketIDs(idx.Snapshot().KeyFor(tb, v)) {
 				if !seen[id] {
 					seen[id] = true
 					want = append(want, id)
 				}
 			}
 		}
-		got := idx.Query(v)
+		got := idx.Snapshot().Query(v)
 		if len(got) != len(want) {
 			t.Fatalf("probe %d: Query returned %d ids, want %d", probe, len(got), len(want))
 		}
@@ -210,7 +210,7 @@ func TestInsertBatchMatchesNaiveInserts(t *testing.T) {
 			t.Fatalf("InsertBatch returned first id %d, want 80", first)
 		}
 		for tb := 0; tb < one.L(); tb++ {
-			ot, bt := one.Table(tb), batch.Table(tb)
+			ot, bt := one.Snapshot().Table(tb), batch.Snapshot().Table(tb)
 			if ot.NH() != bt.NH() {
 				t.Fatalf("%s table %d: NH %d (single) vs %d (batch)", f.Name(), tb, ot.NH(), bt.NH())
 			}
@@ -248,7 +248,7 @@ func TestEnginePanelMatchesNaive(t *testing.T) {
 					}
 					want := naiveKeys(data, f, c.k, c.ell)
 					for tb := 0; tb < c.ell; tb++ {
-						tab := idx.Table(tb)
+						tab := idx.Snapshot().Table(tb)
 						for i := range data {
 							if got := tab.KeyOf(i); got != want[tb][i] {
 								t.Fatalf("procs=%d %s k=%d ℓ=%d: table %d vector %d: panel key %q != naive key %q",
@@ -257,6 +257,69 @@ func TestEnginePanelMatchesNaive(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestFoldSimMatchesNaiveDot pins foldSim's accumulator to SimHash.Hash's
+// sum bit for bit, zero signs included, whether it folds a vector in one
+// call (the fused pass) or across panels of any size (the panel pass). The
+// rows include signed zeros and products that underflow to −0, where an
+// accumulator that starts from a product instead of from zero would differ.
+func TestFoldSimMatchesNaiveDot(t *testing.T) {
+	rng := xrand.New(21)
+	const lk = 6
+	for rep := 0; rep < 500; rep++ {
+		rows := 1 + rng.Intn(14)
+		proj := make([]float64, rows*lk)
+		for j := range proj {
+			switch rng.Intn(4) {
+			case 0:
+				proj[j] = math.Copysign(0, rng.Norm())
+			case 1:
+				proj[j] = rng.Norm() * 1e-300
+			default:
+				proj[j] = rng.Norm()
+			}
+		}
+		var ri []int32
+		var es []vecmath.Entry
+		for r := 0; r < rows; r++ {
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			w := float32(rng.Norm())
+			if rng.Intn(3) == 0 {
+				w *= 1e-30
+			}
+			ri = append(ri, int32(r))
+			es = append(es, vecmath.Entry{Dim: uint32(r), Weight: w})
+		}
+		want := make([]float64, lk)
+		for m, r := range ri {
+			for j := range want {
+				want[j] += float64(es[m].Weight) * proj[int(r)*lk+j]
+			}
+		}
+		fused := make([]float64, lk)
+		if c := foldSim(fused, proj, es, ri, 0, int32(rows), 0); c != len(ri) {
+			t.Fatalf("fused fold stopped at entry %d of %d", c, len(ri))
+		}
+		panel := 1 + rng.Intn(rows)
+		streamed := make([]float64, lk)
+		c := 0
+		for r0 := 0; r0 < rows; r0 += panel {
+			r1 := min(r0+panel, rows)
+			c = foldSim(streamed, proj[r0*lk:r1*lk], es, ri, c, int32(r1), r0)
+		}
+		if c != len(ri) {
+			t.Fatalf("panel fold stopped at entry %d of %d", c, len(ri))
+		}
+		for j := range want {
+			w := math.Float64bits(want[j])
+			if f, s := math.Float64bits(fused[j]), math.Float64bits(streamed[j]); f != w || s != w {
+				t.Fatalf("rep %d lane %d: fused %x, panel %x, naive %x", rep, j, f, s, w)
 			}
 		}
 	}

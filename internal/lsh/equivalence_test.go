@@ -57,15 +57,16 @@ func equivCheck(t *testing.T, idx *Index, data []vecmath.Vector, fam Family, k, 
 
 // runPublishWorkload drives one randomized workload: random single inserts,
 // batches and publish points over a pool that ends in a burst of
-// near-distinct vectors, checking equivalence at every publish boundary the
-// schedule hits.
+// near-distinct vectors, checking equivalence at one publish boundary the
+// schedule hits in each quarter of the pool and once the pool is consumed.
 func runPublishWorkload(t *testing.T, seed uint64, k, ell int) {
 	rng := xrand.New(seed)
 	n0 := 60 + rng.Intn(80)
-	pool := randData(1400, 90, 7, seed+1)
+	pool := randData(200, 90, 7, seed+1)
 	// Append a burst of vectors in a private dimension range, so most of
-	// them mint fresh buckets.
-	for i := 0; i < 500; i++ {
+	// them mint fresh buckets; at these sizes the bucket lookup regrows
+	// during the burst.
+	for i := 0; i < 200; i++ {
 		pool = append(pool, vecmath.FromDims([]uint32{
 			uint32(500000 + i),
 			uint32(600000 + rng.Intn(1<<18)),
@@ -78,8 +79,11 @@ func runPublishWorkload(t *testing.T, seed uint64, k, ell int) {
 		t.Fatal(err)
 	}
 	consumed := n0
-	checks := 0
-	for consumed < len(pool) && checks < 4 {
+	// A check rebuilds the whole prefix, so checkpoints check at most once
+	// per quarter of the pool.
+	quarter := len(pool) / 4
+	nextCheck := quarter
+	for consumed < len(pool) {
 		switch rng.Intn(5) {
 		case 0: // single insert
 			idx.Insert(pool[consumed])
@@ -100,11 +104,16 @@ func runPublishWorkload(t *testing.T, seed uint64, k, ell int) {
 		case 3: // publish whatever is pending
 			idx.Snapshot()
 		default: // checkpoint: full equivalence against a rebuild
-			equivCheck(t, idx, pool[:consumed], fam, k, ell, seed+uint64(consumed))
-			checks++
+			if consumed >= nextCheck {
+				equivCheck(t, idx, pool[:consumed], fam, k, ell, seed+uint64(consumed))
+				nextCheck = consumed + quarter
+			}
 		}
 	}
-	equivCheck(t, idx, pool[:consumed], fam, k, ell, seed+uint64(consumed))
+	if consumed != len(pool) {
+		t.Fatalf("workload stopped after %d of %d vectors, short of the burst's end", consumed, len(pool))
+	}
+	equivCheck(t, idx, pool, fam, k, ell, seed+uint64(consumed))
 }
 
 // TestPublishEquivalenceProperty runs the randomized workload across narrow

@@ -301,7 +301,7 @@ func FuzzEngineMatchesNaive(f *testing.F) {
 				}
 				for tb := 0; tb < ell; tb++ {
 					for i := range data {
-						if got := idx.Table(tb).KeyOf(i); got != want[tb][i] {
+						if got := idx.Snapshot().Table(tb).KeyOf(i); got != want[tb][i] {
 							t.Fatalf("%s k=%d ℓ=%d panel=%d: table %d vector %d: engine key %q != naive key %q",
 								fam.Name(), k, ell, cfg.PanelBytes, tb, i, got, want[tb][i])
 						}

@@ -21,10 +21,11 @@ import (
 // lock-free, via Current. All methods are safe for concurrent use; writers
 // are serialized by an internal mutex.
 //
-// The convenience read methods on Index (Query, Search, Table, ...) publish
-// any pending delta first, preserving read-your-writes for single-goroutine
-// callers. Concurrent readers that want stable, lock-free views should hold
-// a *Snapshot instead.
+// Reads go through a *Snapshot taken explicitly: Snapshot publishes any
+// pending inserts first (read-your-writes), Current returns the latest
+// published version without publishing. Index itself answers only Family,
+// K and L, which no insert changes, so no read publishes behind a name that
+// looks like a plain accessor.
 type Index struct {
 	mu    sync.Mutex // serializes Insert / InsertBatch / publish
 	cur   atomic.Pointer[Snapshot]
@@ -212,40 +213,3 @@ func (x *Index) K() int { return x.Current().k }
 
 // L returns the number of tables ℓ.
 func (x *Index) L() int { return x.Current().ell }
-
-// N returns the number of indexed vectors, including pending inserts (which
-// it publishes).
-func (x *Index) N() int { return x.Snapshot().N() }
-
-// Data returns the indexed vector collection at the latest version
-// (publishing pending inserts). Callers must not modify it.
-func (x *Index) Data() []vecmath.Vector { return x.Snapshot().data }
-
-// Table returns table t (0-based) at the latest version.
-func (x *Index) Table(t int) *Table { return x.Snapshot().tables[t] }
-
-// Tables returns all ℓ tables at the latest version.
-func (x *Index) Tables() []*Table { return x.Snapshot().tables }
-
-// KeyFor computes the bucket key of an arbitrary vector in table t at the
-// latest version; see Snapshot.KeyFor.
-func (x *Index) KeyFor(t int, v vecmath.Vector) string { return x.Snapshot().KeyFor(t, v) }
-
-// SameAnyBucket reports whether vectors i and j share a bucket in at least
-// one table at the latest version.
-func (x *Index) SameAnyBucket(i, j int) bool { return x.Snapshot().SameAnyBucket(i, j) }
-
-// BucketMultiplicity returns the number of tables in which vectors i and j
-// share a bucket (0..ℓ) at the latest version.
-func (x *Index) BucketMultiplicity(i, j int) int { return x.Snapshot().BucketMultiplicity(i, j) }
-
-// Query returns the ids of all vectors sharing a bucket with v in any table
-// at the latest version; see Snapshot.Query.
-func (x *Index) Query(v vecmath.Vector) []int32 { return x.Snapshot().Query(v) }
-
-// Search returns the ids of indexed vectors u with sim(u, v) ≥ τ among the
-// LSH candidates of v at the latest version; see Snapshot.Search.
-func (x *Index) Search(v vecmath.Vector, tau float64) []int32 { return x.Snapshot().Search(v, tau) }
-
-// SizeBytes estimates the total space of all tables at the latest version.
-func (x *Index) SizeBytes() int64 { return x.Snapshot().SizeBytes() }

@@ -323,6 +323,28 @@ func (g *GroupSnapshot) Versions() []uint64 {
 	return out
 }
 
+// VersionsDominate compares version vectors such as Versions returns, the
+// one way they may be compared: componentwise. ok reports that next ≥ prev
+// in every component (vectors of different lengths never dominate), newer
+// that some component is strictly greater. Per-shard versions only grow, so
+// a dominating vector covers every publish the other does; summed versions
+// alias instead — concurrent captures (4,2) and (3,3) cover different
+// corpora but sum alike.
+func VersionsDominate(next, prev []uint64) (ok, newer bool) {
+	if len(next) != len(prev) {
+		return false, false
+	}
+	for s := range next {
+		if next[s] < prev[s] {
+			return false, false
+		}
+		if next[s] > prev[s] {
+			newer = true
+		}
+	}
+	return true, newer
+}
+
 // Offset returns the dense id of shard s's first vector.
 func (g *GroupSnapshot) Offset(s int) int { return g.offsets[s] }
 

@@ -57,7 +57,7 @@ func (fakeFamily) Name() string { return "fake" }
 
 func TestDuplicatesShareBucket(t *testing.T) {
 	idx, _ := buildSmall(t, 16)
-	tab := idx.Table(0)
+	tab := idx.Snapshot().Table(0)
 	if !tab.SameBucket(0, 1) || !tab.SameBucket(0, 2) || !tab.SameBucket(1, 2) {
 		t.Error("identical vectors must always share a bucket")
 	}
@@ -65,7 +65,7 @@ func TestDuplicatesShareBucket(t *testing.T) {
 
 func TestNHMatchesBucketSizes(t *testing.T) {
 	idx, _ := buildSmall(t, 16)
-	tab := idx.Table(0)
+	tab := idx.Snapshot().Table(0)
 	var want int64
 	for _, b := range tab.BucketSizes() {
 		want += int64(b) * int64(b-1) / 2
@@ -87,7 +87,7 @@ func TestNHMatchesIntraPairEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ti, tab := range idx.Tables() {
+	for ti, tab := range idx.Snapshot().Tables() {
 		var count int64
 		tab.ForEachIntraPair(func(i, j int32) bool {
 			if i >= j {
@@ -120,7 +120,7 @@ func randData(n, dims, nnz int, seed uint64) []vecmath.Vector {
 
 func TestSamplePairUniformOverStratumH(t *testing.T) {
 	idx, _ := buildSmall(t, 16)
-	tab := idx.Table(0)
+	tab := idx.Snapshot().Table(0)
 	if tab.NH() < 3 {
 		t.Skip("bucket structure degenerate for this seed")
 	}
@@ -164,7 +164,7 @@ func TestSamplePairEmptyStratum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := idx.Table(0)
+	tab := idx.Snapshot().Table(0)
 	if tab.NH() != 0 {
 		t.Skip("vectors collided under this seed")
 	}
@@ -179,7 +179,7 @@ func TestKeyOfConsistentWithSameBucket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := idx.Table(0)
+	tab := idx.Snapshot().Table(0)
 	for i := 0; i < 100; i++ {
 		for j := i + 1; j < 100; j++ {
 			if tab.SameBucket(i, j) != (tab.KeyOf(i) == tab.KeyOf(j)) {
@@ -195,7 +195,7 @@ func TestBucketIDsPartitionVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := idx.Table(0)
+	tab := idx.Snapshot().Table(0)
 	seen := make([]bool, len(data))
 	total := 0
 	tab.ForEachBucket(func(key string, ids []int32) bool {
@@ -227,7 +227,7 @@ func TestMultiTableIndependence(t *testing.T) {
 	}
 	// Tables use disjoint hash functions, so their keys should differ for
 	// most vectors (they'd only match by coincidence).
-	tabs := idx.Tables()
+	tabs := idx.Snapshot().Tables()
 	same := 0
 	for i := 0; i < 300; i++ {
 		if tabs[0].KeyOf(i) == tabs[1].KeyOf(i) {
@@ -247,7 +247,7 @@ func TestKeyForMatchesIndexedKeys(t *testing.T) {
 	}
 	for t0 := 0; t0 < idx.L(); t0++ {
 		for i, v := range data {
-			if idx.KeyFor(t0, v) != idx.Table(t0).KeyOf(i) {
+			if idx.Snapshot().KeyFor(t0, v) != idx.Snapshot().Table(t0).KeyOf(i) {
 				t.Fatalf("table %d vector %d: KeyFor disagrees with indexed key", t0, i)
 			}
 		}
@@ -256,7 +256,7 @@ func TestKeyForMatchesIndexedKeys(t *testing.T) {
 
 func TestQueryFindsDuplicates(t *testing.T) {
 	idx, data := buildSmall(t, 16)
-	got := idx.Query(data[0])
+	got := idx.Snapshot().Query(data[0])
 	found := map[int32]bool{}
 	for _, id := range got {
 		found[id] = true
@@ -271,7 +271,7 @@ func TestQueryFindsDuplicates(t *testing.T) {
 
 func TestSearchAppliesThreshold(t *testing.T) {
 	idx, data := buildSmall(t, 16)
-	got := idx.Search(data[0], 0.99)
+	got := idx.Snapshot().Search(data[0], 0.99)
 	for _, id := range got {
 		if s := vecmath.Cosine(data[0], data[id]); s < 0.99 {
 			t.Errorf("Search returned id %d with sim %v < 0.99", id, s)
@@ -290,8 +290,8 @@ func TestSameAnyBucketAndMultiplicity(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		for j := i + 1; j < 50; j++ {
-			m := idx.BucketMultiplicity(i, j)
-			if (m > 0) != idx.SameAnyBucket(i, j) {
+			m := idx.Snapshot().BucketMultiplicity(i, j)
+			if (m > 0) != idx.Snapshot().SameAnyBucket(i, j) {
 				t.Fatalf("multiplicity %d inconsistent with SameAnyBucket", m)
 			}
 			if m < 0 || m > idx.L() {
@@ -309,7 +309,7 @@ func TestSizeBytesGrowsWithK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		size := idx.SizeBytes()
+		size := idx.Snapshot().SizeBytes()
 		if size <= 0 {
 			t.Fatalf("k=%d: non-positive size %d", k, size)
 		}

@@ -32,6 +32,10 @@ const (
 	// maxNNZ bounds a single vector's entry count to keep corrupted inputs
 	// from driving huge allocations.
 	maxNNZ = 1 << 26
+	// maxPrealloc caps how many vectors, or entries of one vector, Read
+	// reserves from a header count before reading them: counts come from
+	// the input, so larger collections grow by append as their bytes arrive.
+	maxPrealloc = 1 << 12
 )
 
 // Write streams the collection to w.
@@ -100,7 +104,7 @@ func Read(r io.Reader) ([]vecmath.Vector, error) {
 	if err := binary.Read(cr, binary.LittleEndian, &count); err != nil {
 		return nil, fmt.Errorf("vecio: read count: %w", err)
 	}
-	vectors := make([]vecmath.Vector, 0, count)
+	vectors := make([]vecmath.Vector, 0, min(count, maxPrealloc))
 	for i := uint32(0); i < count; i++ {
 		nnz, err := binary.ReadUvarint(cr)
 		if err != nil {
@@ -109,23 +113,22 @@ func Read(r io.Reader) ([]vecmath.Vector, error) {
 		if nnz > maxNNZ {
 			return nil, fmt.Errorf("vecio: vector %d nnz %d exceeds limit", i, nnz)
 		}
-		es := make([]vecmath.Entry, 0, nnz)
-		dim := uint32(0)
+		es := make([]vecmath.Entry, 0, min(nnz, maxPrealloc))
+		dim := uint64(0)
 		for e := uint64(0); e < nnz; e++ {
 			delta, err := binary.ReadUvarint(cr)
 			if err != nil {
 				return nil, fmt.Errorf("vecio: vector %d entry %d dim: %w", i, e, err)
 			}
-			if e == 0 {
-				dim = uint32(delta)
-			} else {
-				dim += uint32(delta)
+			if delta > math.MaxUint32-dim {
+				return nil, fmt.Errorf("vecio: vector %d entry %d dim overflows uint32", i, e)
 			}
+			dim += delta
 			var bits uint32
 			if err := binary.Read(cr, binary.LittleEndian, &bits); err != nil {
 				return nil, fmt.Errorf("vecio: vector %d entry %d weight: %w", i, e, err)
 			}
-			es = append(es, vecmath.Entry{Dim: dim, Weight: math.Float32frombits(bits)})
+			es = append(es, vecmath.Entry{Dim: uint32(dim), Weight: math.Float32frombits(bits)})
 		}
 		v, err := vecmath.New(es)
 		if err != nil {

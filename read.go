@@ -110,39 +110,13 @@ func (r *reader) exactJoiner() (*exactjoin.Joiner, *lsh.GroupSnapshot, error) {
 	// dominate the cached one and later serve a joiner for the wrong corpus
 	// on an exact vector match. Componentwise dominance cannot: per-shard
 	// versions are monotone, so a dominating vector is genuinely newer.
-	if r.joiner == nil || versionsAdvance(vers, r.joinerVers) {
+	// Incomparable vectors (concurrent captures that each saw a different
+	// shard publish first) never advance the cache; both readers still get
+	// correct one-off joiners.
+	if ok, newer := lsh.VersionsDominate(vers, r.joinerVers); r.joiner == nil || ok && newer {
 		r.joiner, r.joinerVers = j, vers
 	}
 	return j, gs, nil
-}
-
-// versionsGE is the componentwise comparison under version-vector caches
-// (the exact joiner above; the cross join's stratum cache uses the same
-// rule via core.BipartiteStratumCache): ok reports next ≥ prev in every
-// component with matching shapes, newer whether some component strictly
-// advanced.
-func versionsGE(next, prev []uint64) (ok, newer bool) {
-	if len(next) != len(prev) {
-		return false, false
-	}
-	for s := range next {
-		if next[s] < prev[s] {
-			return false, false
-		}
-		if next[s] > prev[s] {
-			newer = true
-		}
-	}
-	return true, newer
-}
-
-// versionsAdvance reports whether version vector next is strictly newer than
-// prev: componentwise ≥ with at least one component >. Incomparable vectors
-// (concurrent captures that each saw a different shard publish first) never
-// advance the cache; both readers still get correct one-off joiners.
-func versionsAdvance(next, prev []uint64) bool {
-	ok, newer := versionsGE(next, prev)
-	return ok && newer
 }
 
 // ExactJoinSize computes the true join size over the union corpus: the

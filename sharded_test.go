@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"lshjoin/internal/exactjoin"
+	"lshjoin/internal/lsh"
 )
 
 func TestNewShardedValidation(t *testing.T) {
@@ -419,8 +420,9 @@ func TestVersionsAdvanceSumAliasing(t *testing.T) {
 		{[]uint64{4}, []uint64{3, 3}, false}, // shape mismatch never advances
 	}
 	for _, c := range cases {
-		if got := versionsAdvance(c.next, c.prev); got != c.want {
-			t.Errorf("versionsAdvance(%v, %v) = %v, want %v", c.next, c.prev, got, c.want)
+		ok, newer := lsh.VersionsDominate(c.next, c.prev)
+		if got := ok && newer; got != c.want {
+			t.Errorf("VersionsDominate(%v, %v) advances = %v, want %v", c.next, c.prev, got, c.want)
 		}
 	}
 }
